@@ -9,15 +9,11 @@
 //! tree, and at the end root statistics are merged across trees exactly as
 //! in root parallelism.
 //!
-//! The host tree phases run on the device's
-//! [`WorkerPool`] in three stages
-//! per iteration: pool-parallel selection over trees, a sequential pass
-//! drawing every expansion pick from the shared RNG in block order, and
-//! pool-parallel expansion (then, after the launch, pool-parallel
-//! backpropagation). Virtual-time charging still models the paper's
-//! single-core host — the pool only shrinks *wall-clock* host time — and
-//! because RNG draws and all cost/statistics folding stay in block order,
-//! reports are bit-identical for any pool size.
+//! The host tree phases are plain loops in block order on the calling
+//! thread: selection, expansion picks drawn from the shared RNG, and, after
+//! the launch, backpropagation. Virtual time models the paper's single-core
+//! host either way. The searcher is a `WaveDriver` running a
+//! `BlockSession`, the same engine the search service batches.
 //!
 //! The scheme matches the hardware hierarchy (Fig. 3): warps stay
 //! divergence-coherent because all lanes of a block simulate the same
@@ -25,23 +21,22 @@
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
-use crate::gpu::{aggregate, LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
+use crate::gpu::{aggregate, LaneOutcome};
+use crate::searcher::{SearchReport, Searcher};
+use crate::sequential::select_and_expand;
 use crate::telemetry::PhaseBreakdown;
-use crate::tree::{best_from_stats, merge_root_stats, SearchTree};
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig, WorkerPool};
-use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
+use crate::tree::SearchTree;
+use crate::wave::{cpu_playouts, Frontier, Ledger, PlayoutRequest, SessionEngine, WaveDriver};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_util::{SimTime, Xoshiro256pp};
 
 /// Block-parallel GPU searcher: one MCTS tree per GPU block.
 #[derive(Clone, Debug)]
 pub struct BlockParallelSearcher<G: Game> {
     config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
+    driver: WaveDriver,
     rng: Xoshiro256pp,
-    epoch: u64,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -60,293 +55,201 @@ impl<G: Game> BlockParallelSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C ^ stream);
         BlockParallelSearcher {
+            rng: Xoshiro256pp::derive(config.seed, 0xB10C ^ stream),
+            driver: WaveDriver::new(&config, device, launch, stream),
             config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
             _game: std::marker::PhantomData,
         }
     }
 
-    /// The launch geometry (blocks = trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
-
     /// Number of trees (= blocks).
     pub fn trees(&self) -> u32 {
-        self.launch.blocks
+        self.driver.launch_config().blocks
     }
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
-
-    /// Runs the search, returning per-tree trees for callers that need them
-    /// (the hybrid scheme). Public API users call `Searcher::search`.
-    pub(crate) fn search_trees(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-    ) -> (Vec<SearchTree<G>>, BudgetTracker, u64, PhaseBreakdown) {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-        // Host tree phases fan out over the device's worker pool. The pool
-        // only decides which thread touches which tree; everything that
-        // affects results (RNG draws, cost folding, report merging) happens
-        // in block order on this thread, so reports and virtual time are
-        // bit-identical for any pool size.
-        let pool = std::sync::Arc::clone(self.device.worker_pool());
-        let exploration_c = self.config.exploration_c;
-
-        if trees[0].is_terminal(0) {
-            return (trees, tracker, 0, phases);
-        }
-
-        let plan = self.config.faults;
-        while tracker.may_continue() {
-            let mut iter_cost = SimTime::ZERO;
-            let (frontier, host_cost) = select_and_expand_all(
-                &mut trees,
-                &mut self.rng,
-                exploration_c,
-                &cpu,
-                &pool,
-                &mut phases,
-            );
-            iter_cost += host_cost;
-
-            // One launch simulates every tree's frontier node. A hang is
-            // retried once; a second hang degrades the iteration to one CPU
-            // playout per tree.
-            let mut retried = false;
-            loop {
-                let kernel = PlayoutKernel::new(
-                    frontier.iter().map(|&(_, s, _)| s).collect(),
-                    self.next_stream_seed(),
-                );
-                let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                phases.upload += cpu.launch_prep + upload;
-                iter_cost += cpu.launch_prep + upload;
-
-                if result.fault == GpuFault::Hang {
-                    let deadline = plan.hang_deadline(result.stats.elapsed());
-                    phases.kernel += deadline;
-                    iter_cost += deadline;
-                    phases.faults.injected += 1;
-                    if !retried {
-                        retried = true;
-                        phases.faults.retried += 1;
-                        continue;
-                    }
-                    // Degraded mode: every tree gets one CPU playout from
-                    // its already-selected frontier node.
-                    for (b, tree) in trees.iter_mut().enumerate() {
-                        let playout = random_playout(frontier[b].1, &mut self.rng);
-                        let cost = cpu.playout(playout.plies);
-                        phases.kernel += cost;
-                        iter_cost += cost;
-                        tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                        simulations += 1;
-                        phases.simulations += 1;
-                        phases.faults.degraded += 1;
-                    }
-                    break;
-                }
-
-                let voided = match result.fault {
-                    GpuFault::BlockAbort(bad) => {
-                        phases.faults.injected += 1;
-                        phases.faults.degraded += 1;
-                        Some(bad as usize)
-                    }
-                    fault => {
-                        if fault != GpuFault::None {
-                            phases.faults.injected += 1;
-                        }
-                        None
-                    }
-                };
-
-                simulations += backprop_outputs(
-                    &mut trees,
-                    &frontier,
-                    &result.outputs,
-                    tpb,
-                    voided,
-                    &pool,
-                    &mut phases,
-                );
-
-                phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                phases.readback += result.stats.readback_time;
-                iter_cost += result.stats.elapsed();
-                phases.record_launch(&result.stats);
-                break;
-            }
-
-            tracker.charge(iter_cost);
-        }
-
-        (trees, tracker, simulations, phases)
+    /// Runs the search and returns the finished engine, trees included.
+    fn run(&mut self, root: G, budget: SearchBudget) -> BlockSession<G> {
+        let launch = self.driver.launch_config();
+        let mut engine = BlockSession::new(
+            root,
+            budget,
+            &self.config,
+            launch.blocks,
+            self.rng.clone(),
+            launch.threads_per_block as usize,
+        );
+        self.driver.run(&mut engine);
+        self.rng = engine.rng.clone();
+        engine
     }
 }
 
-/// The host half of one block-parallel round: pool-parallel selection over
-/// every tree, expansion picks drawn from the shared RNG in block order,
-/// pool-parallel expansion, and a block-order fold of per-tree host costs
-/// into `phases.select`/`phases.expand`. Returns each tree's frontier
+/// Block-parallel round engine: `B` independent trees, one block each per
+/// round. [`BlockParallelSearcher`] drives it alone; the search service
+/// batches it with other sessions.
+pub(crate) struct BlockSession<G: Game> {
+    config: MctsConfig,
+    pub(crate) trees: Vec<SearchTree<G>>,
+    pub(crate) rng: Xoshiro256pp,
+    pub(crate) ledger: Ledger,
+    threads_per_block: usize,
+    pending: Option<Frontier<G>>,
+}
+
+impl<G: Game> BlockSession<G> {
+    /// `blocks` fresh trees at `root`, drawing picks from `rng`.
+    pub(crate) fn new(
+        root: G,
+        budget: SearchBudget,
+        config: &MctsConfig,
+        blocks: u32,
+        rng: Xoshiro256pp,
+        threads_per_block: usize,
+    ) -> Self {
+        assert!(blocks >= 1, "block session needs ≥ 1 tree");
+        let trees = (0..blocks)
+            .map(|_| SearchTree::for_config(root, config))
+            .collect();
+        Self::resume(config, trees, rng, Ledger::new(budget), threads_per_block)
+    }
+
+    /// An engine over existing trees and an existing ledger (the
+    /// device-resident searcher's host fallback).
+    pub(crate) fn resume(
+        config: &MctsConfig,
+        trees: Vec<SearchTree<G>>,
+        rng: Xoshiro256pp,
+        ledger: Ledger,
+        threads_per_block: usize,
+    ) -> Self {
+        BlockSession {
+            config: config.clone(),
+            trees,
+            rng,
+            ledger,
+            threads_per_block,
+            pending: None,
+        }
+    }
+}
+
+impl<G: Game> SessionEngine<G> for BlockSession<G> {
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        assert!(self.pending.is_none(), "round already begun");
+        if self.trees[0].is_terminal(self.trees[0].root()) {
+            return None;
+        }
+        let (frontier, host_cost) = select_and_expand_all(
+            &mut self.trees,
+            &mut self.rng,
+            &self.config,
+            &mut self.ledger.phases,
+        );
+        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
+        self.pending = Some(frontier);
+        Some(PlayoutRequest {
+            positions,
+            host_cost,
+        })
+    }
+
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let frontier = self.pending.take().expect("no round in flight");
+        backprop_outputs(
+            &mut self.trees,
+            &frontier,
+            lanes,
+            self.threads_per_block,
+            voided,
+            &mut self.ledger.phases,
+        );
+    }
+
+    fn degrade(&mut self, cpu: &CpuCostModel) -> SimTime {
+        let frontier = self.pending.take().expect("no round in flight");
+        let trees = &mut self.trees;
+        cpu_playouts(
+            &frontier,
+            &mut self.rng,
+            cpu,
+            &mut self.ledger.phases,
+            |b, node, reward| trees[b].backprop(node, reward, 1),
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        self.ledger.report(&self.config, &self.trees)
+    }
+}
+
+/// The host half of one block-parallel round: the sequential searcher's
+/// selection and expansion on every tree, in block order, with expansion
+/// picks drawn from the shared RNG. Returns each tree's frontier
 /// `(node, state, depth)` plus the summed host tree-op cost.
 ///
-/// Shared between [`BlockParallelSearcher::search_trees`] (lockstep loop)
-/// and the multi-session search service (one round per batched launch).
-/// Everything that affects results happens in block order on the calling
-/// thread, so the output is bit-identical for any pool size.
+/// The loops are sequential on purpose: a pool fan-out of the selection,
+/// expansion and backprop walks measured no wall-clock gain (host phases
+/// are 1–2% of a search, DESIGN.md §10).
 pub(crate) fn select_and_expand_all<G: Game>(
     trees: &mut [SearchTree<G>],
     rng: &mut Xoshiro256pp,
-    exploration_c: f64,
-    cpu: &CpuCostModel,
-    pool: &WorkerPool,
+    config: &MctsConfig,
     phases: &mut PhaseBreakdown,
-) -> (Vec<(u32, G, u32)>, SimTime) {
-    // Selection on every tree (pool-parallel; trees are independent,
-    // selection is read-only).
-    let selected: Vec<(u32, u32)> = pool.map_indexed(trees, |_, tree| {
-        let sel = tree.select(exploration_c);
-        (sel, tree.untried_len(sel) as u32)
-    });
-    // Draw expansion picks from the shared RNG in block order — exactly
-    // the draw sequence of the sequential schedule, so the pinned
-    // fingerprints are unaffected.
-    let picks: Vec<Option<u32>> = selected
-        .iter()
-        .map(|&(_, untried)| {
-            if untried != 0 {
-                phases.expansions += 1;
-                Some(rng.next_below(untried))
-            } else {
-                None
-            }
+) -> (Frontier<G>, SimTime) {
+    let mut host_cost = SimTime::ZERO;
+    let frontier = trees
+        .iter_mut()
+        .map(|tree| {
+            let (node, depth) = select_and_expand(tree, rng, config, phases);
+            host_cost += config.cpu_cost.tree_op(depth);
+            (node, *tree.state(node), depth)
         })
         .collect();
-    // Expansion with the pre-drawn picks (pool-parallel), capturing each
-    // tree's frontier node for the kernel.
-    let frontier: Vec<(u32, G, u32)> = pool.map_indexed(trees, |b, tree| {
-        let node = match picks[b] {
-            Some(pick) => tree.expand_with_pick(selected[b].0, pick),
-            None => selected[b].0,
-        };
-        (node, *tree.state(node), tree.depth(node))
-    });
-    // Deterministic block-order folding of per-tree host costs.
-    let mut host_cost = SimTime::ZERO;
-    for &(_, _, depth) in &frontier {
-        host_cost += cpu.tree_op(depth);
-        phases.select += cpu.select_cost(depth);
-        phases.expand += cpu.expand_cost();
-    }
     (frontier, host_cost)
 }
 
 /// The readback half of one block-parallel round: block `b`'s `tpb` lanes
-/// are aggregated and backpropagated into tree `b` (pool-parallel; each
-/// tree's backprop walk is independent). A voided (aborted) block's tree
-/// receives nothing. Simulation counts fold in block order; returns the
-/// total simulations credited.
+/// are aggregated and backpropagated into tree `b`, in block order. A
+/// voided (aborted) block's tree receives nothing.
 pub(crate) fn backprop_outputs<G: Game>(
     trees: &mut [SearchTree<G>],
     frontier: &[(u32, G, u32)],
     outputs: &[LaneOutcome],
     tpb: usize,
     voided: Option<usize>,
-    pool: &WorkerPool,
     phases: &mut PhaseBreakdown,
-) -> u64 {
-    let counts: Vec<u64> = pool.map_indexed(trees, |b, tree| {
+) {
+    for (b, tree) in trees.iter_mut().enumerate() {
         if Some(b) == voided {
-            return 0;
+            continue;
         }
-        let lanes = &outputs[b * tpb..(b + 1) * tpb];
-        let (wins_p1, n) = aggregate(lanes);
+        let (wins_p1, n) = aggregate(&outputs[b * tpb..(b + 1) * tpb]);
         tree.backprop(frontier[b].0, wins_p1, n);
-        n
-    });
-    let mut total = 0u64;
-    for n in counts {
-        total += n;
         phases.simulations += n;
-    }
-    total
-}
-
-/// Merges per-tree reports into one `SearchReport` (shared with hybrid).
-pub(crate) fn report_from_trees<G: Game>(
-    config: &MctsConfig,
-    trees: &[SearchTree<G>],
-    tracker: &BudgetTracker,
-    simulations: u64,
-    mut phases: PhaseBreakdown,
-) -> SearchReport<G::Move> {
-    let merged = merge_root_stats(&trees.iter().map(|t| t.root_stats()).collect::<Vec<_>>());
-    phases.budget_overshoot = tracker.overshoot();
-    SearchReport {
-        best_move: best_from_stats(&merged, config.final_move),
-        simulations,
-        iterations: tracker.iterations,
-        tree_nodes: trees.iter().map(|t| t.live_nodes() as u64).sum(),
-        max_depth: trees.iter().map(|t| t.max_depth()).max().unwrap_or(0),
-        elapsed: tracker.elapsed,
-        root_stats: merged,
-        phases,
     }
 }
 
 impl<G: Game> Searcher<G> for BlockParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let (trees, tracker, sims, phases) = self.search_trees(root, budget);
-        report_from_trees(&self.config, &trees, &tracker, sims, phases)
+        self.run(root, budget).finish()
     }
 
     fn name(&self) -> String {
+        let launch = self.driver.launch_config();
         format!(
             "block parallelism ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            launch.blocks, launch.threads_per_block
         )
     }
-}
-
-/// Estimated virtual cost of ONE block-parallel iteration — exposed so the
-/// Fig. 5 speed analysis can decompose kernel vs host-sequential time.
-pub fn iteration_cost_breakdown<G: Game>(
-    config: &MctsConfig,
-    device: &Device,
-    launch: &LaunchConfig,
-    avg_depth: u32,
-) -> (SimTime, SimTime) {
-    let cpu = config.cpu_cost;
-    let host = cpu.launch_prep + cpu.tree_op(avg_depth) * launch.blocks as u64;
-    let upload = device
-        .spec()
-        .transfer_time((launch.blocks as usize * G::device_state_bytes()) as u64);
-    (host, upload)
 }
 
 #[cfg(test)]
@@ -445,7 +348,9 @@ mod tests {
     fn trees_develop_independently() {
         let mut s =
             BlockParallelSearcher::<Reversi>::new(cfg(7), device(), LaunchConfig::new(2, 32));
-        let (trees, _, _, _) = s.search_trees(Reversi::initial(), SearchBudget::Iterations(10));
+        let trees = s
+            .run(Reversi::initial(), SearchBudget::Iterations(10))
+            .trees;
         // Two trees with independent randomness almost surely differ in
         // their root statistics after 10 iterations.
         assert_ne!(trees[0].root_stats(), trees[1].root_stats());

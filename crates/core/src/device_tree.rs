@@ -38,12 +38,11 @@
 //! second hang abandons the device for the move and falls back to the
 //! host-driven block-parallel loop on the same resident trees.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::BlockSession;
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::PlayoutKernel;
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::{Ledger, WaveDriver};
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_gpu_sim::{
     Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
@@ -65,15 +64,13 @@ const MAX_PLANNED_ROUNDS: u64 = 65_536;
 #[derive(Clone, Debug)]
 pub struct DeviceTreeSearcher<G: Game> {
     config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
+    /// Launch epochs, faults and the host fallback's rounds.
+    driver: WaveDriver,
     tree_spec: DeviceTreeSpec,
-    stream: u64,
     /// Host RNG, used only by the hang-degradation fallback (expansion
     /// picks + degraded CPU playouts), mirroring the block-parallel
     /// stream so the fallback is the same machine.
     rng: Xoshiro256pp,
-    epoch: u64,
     /// Trees left on the device by the previous search (re-rooted on the
     /// next one; `reset` drops them).
     resident: Option<Vec<SearchTree<G>>>,
@@ -107,27 +104,18 @@ impl<G: Game> DeviceTreeSearcher<G> {
         stream: u64,
     ) -> Self {
         launch.validate(device.spec());
-        let rng = Xoshiro256pp::derive(config.seed, 0xDE1C ^ stream);
         DeviceTreeSearcher {
+            rng: Xoshiro256pp::derive(config.seed, 0xDE1C ^ stream),
+            driver: WaveDriver::new(&config, device, launch, stream),
             config,
-            device,
-            launch,
             tree_spec: DeviceTreeSpec::c2050_resident(),
-            stream,
-            rng,
-            epoch: 0,
             resident: None,
         }
     }
 
-    /// The launch geometry (blocks = resident trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
-
     /// Number of resident trees (= blocks).
     pub fn trees(&self) -> u32 {
-        self.launch.blocks
+        self.driver.launch_config().blocks
     }
 
     /// Overrides the in-kernel cost constants (tests and ablations).
@@ -141,16 +129,11 @@ impl<G: Game> DeviceTreeSearcher<G> {
         self.resident = None;
     }
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        stream_seed(self.config.seed, self.stream, self.epoch)
-    }
-
     /// Re-roots the resident trees at `root` (falling back to cold trees
     /// where the position is not found) and mirrors each into a fresh
     /// device allocator adopting the compacted live prefix.
     fn prepare(&mut self, root: G) -> (Vec<SearchTree<G>>, Vec<DeviceAllocator>) {
-        let blocks = self.launch.blocks as usize;
+        let blocks = self.trees() as usize;
         let trees: Vec<SearchTree<G>> = match self.resident.take() {
             Some(old) if old.len() == blocks => old
                 .into_iter()
@@ -193,13 +176,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
             }
         }
     }
-}
-
-/// Per-launch stream seed: experiment seed × sub-stream × epoch (the same
-/// derivation every launching searcher uses).
-pub(crate) fn stream_seed(seed: u64, stream: u64, epoch: u64) -> u64 {
-    seed.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(epoch.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// One complete in-kernel MCTS iteration for one lane: UCB descent,
@@ -319,21 +295,13 @@ fn run_rounds<G: Game>(
 impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         let (mut trees, mut allocs) = self.prepare(root);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
+        let mut ledger = Ledger::new(budget);
         let cpu = self.config.cpu_cost;
-        let spec = self.device.spec().clone();
-        let pool = std::sync::Arc::clone(self.device.worker_pool());
+        let device = self.driver.device().clone();
+        let launch = self.driver.launch_config();
+        let pool = std::sync::Arc::clone(device.worker_pool());
         let exploration_c = self.config.exploration_c;
         let plan = self.config.faults;
-        let tpb = self.launch.threads_per_block as usize;
-
-        if trees[0].is_terminal(trees[0].root()) {
-            let report = report_from_trees(&self.config, &trees, &tracker, 0, phases);
-            self.resident = Some(trees);
-            return report;
-        }
 
         let mut uploaded = false;
         let mut last_round_cost = SimTime::ZERO;
@@ -341,111 +309,27 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
         // into the next charged iteration so the ledger stays exact.
         let mut pending_fault_cost = SimTime::ZERO;
         let mut hang_retried = false;
-        let mut host_fallback = false;
 
-        while tracker.may_continue() {
-            if host_fallback {
-                // Degraded mode: the device is abandoned for this move;
-                // drive the same resident trees with the host-side
-                // block-parallel round (select/expand on the CPU, one
-                // playout launch, backprop), including its own
-                // hang-retry / CPU-playout degradation.
-                let mut iter_cost = std::mem::take(&mut pending_fault_cost);
-                let (frontier, host_cost) = select_and_expand_all(
-                    &mut trees,
-                    &mut self.rng,
-                    exploration_c,
-                    &cpu,
-                    &pool,
-                    &mut phases,
-                );
-                iter_cost += host_cost;
-                let mut retried = false;
-                loop {
-                    let kernel = PlayoutKernel::new(
-                        frontier.iter().map(|&(_, s, _)| s).collect(),
-                        self.next_stream_seed(),
-                    );
-                    let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                    let upload = spec.transfer_time(kernel.upload_bytes());
-                    let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                    phases.upload += cpu.launch_prep + upload;
-                    iter_cost += cpu.launch_prep + upload;
-
-                    if result.fault == GpuFault::Hang {
-                        let deadline = plan.hang_deadline(result.stats.elapsed());
-                        phases.kernel += deadline;
-                        iter_cost += deadline;
-                        phases.faults.injected += 1;
-                        if !retried {
-                            retried = true;
-                            phases.faults.retried += 1;
-                            continue;
-                        }
-                        for (b, tree) in trees.iter_mut().enumerate() {
-                            let playout = random_playout(frontier[b].1, &mut self.rng);
-                            let cost = cpu.playout(playout.plies);
-                            phases.kernel += cost;
-                            iter_cost += cost;
-                            tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                            simulations += 1;
-                            phases.simulations += 1;
-                            phases.faults.degraded += 1;
-                        }
-                        break;
-                    }
-
-                    let voided = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            Some(bad as usize)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            None
-                        }
-                    };
-                    simulations += backprop_outputs(
-                        &mut trees,
-                        &frontier,
-                        &result.outputs,
-                        tpb,
-                        voided,
-                        &pool,
-                        &mut phases,
-                    );
-                    phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                    phases.readback += result.stats.readback_time;
-                    iter_cost += result.stats.elapsed();
-                    phases.record_launch(&result.stats);
-                    break;
-                }
-                tracker.charge(iter_cost);
-                continue;
-            }
-
-            let rounds = Self::planned_rounds(budget, &tracker, last_round_cost);
-            let seed = self.next_stream_seed();
-            let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
+        let terminal = trees[0].is_terminal(trees[0].root());
+        while !terminal && ledger.tracker.may_continue() {
+            let rounds = Self::planned_rounds(budget, &ledger.tracker, last_round_cost);
+            let (seed, fault) = self.driver.next_launch();
+            let phases = &mut ledger.phases;
 
             if fault == GpuFault::Hang {
                 // The persistent launch produced nothing observable. Cost
                 // the detection deadline off the launch's nominal elapsed
                 // time (computed on clones; the resident trees are
-                // untouched), then retry once with a fresh epoch; a second
-                // hang abandons the device for this move.
+                // untouched), then retry once with a fresh epoch.
                 let mut dry_trees = trees.clone();
                 let mut dry_allocs = allocs.clone();
                 let (stats, _, _) = run_rounds(
                     &mut dry_trees,
                     &mut dry_allocs,
                     &pool,
-                    self.launch,
+                    launch,
                     &self.tree_spec,
-                    &self.device,
+                    &device,
                     rounds,
                     seed,
                     exploration_c,
@@ -458,11 +342,25 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 if !hang_retried {
                     hang_retried = true;
                     phases.faults.retried += 1;
-                } else {
-                    phases.faults.degraded += 1;
-                    host_fallback = true;
+                    continue;
                 }
-                continue;
+                // A second hang abandons the device for this move: the
+                // driver runs host block-parallel rounds (select/expand on
+                // the CPU, one playout launch, backprop) on the same
+                // resident trees, through its own fault ladder.
+                phases.faults.degraded += 1;
+                let mut engine = BlockSession::resume(
+                    &self.config,
+                    trees,
+                    self.rng.clone(),
+                    ledger,
+                    launch.threads_per_block as usize,
+                );
+                self.driver.run_owing(&mut engine, pending_fault_cost);
+                self.rng = engine.rng;
+                trees = engine.trees;
+                ledger = engine.ledger;
+                break;
             }
             hang_retried = false;
 
@@ -470,7 +368,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 GpuFault::BlockAbort(bad) => {
                     phases.faults.injected += 1;
                     phases.faults.degraded += 1;
-                    Some(bad as usize % self.launch.blocks as usize)
+                    Some(bad as usize % launch.blocks as usize)
                 }
                 _ => None,
             };
@@ -479,9 +377,9 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 &mut trees,
                 &mut allocs,
                 &pool,
-                self.launch,
+                launch,
                 &self.tree_spec,
-                &self.device,
+                &device,
                 rounds,
                 seed,
                 exploration_c,
@@ -500,7 +398,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             phases.upload += cpu.launch_prep;
             if !uploaded {
                 uploaded = true;
-                let delta = spec.transfer_time(G::device_state_bytes() as u64);
+                let delta = device.spec().transfer_time(G::device_state_bytes() as u64);
                 phases.upload += delta;
                 total += delta;
             }
@@ -509,7 +407,6 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             phases.record_launch(&stats);
             phases.simulations += sims;
             phases.expansions += expansions;
-            simulations += sims;
 
             // Charge the tracker round by round: the integer split sums
             // to the launch total exactly, so iterations count rounds and
@@ -517,20 +414,21 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             let total_ns = total.as_nanos();
             for i in 0..rounds {
                 let share = total_ns * (i + 1) / rounds - total_ns * i / rounds;
-                tracker.charge(SimTime::from_nanos(share));
+                ledger.tracker.charge(SimTime::from_nanos(share));
             }
             last_round_cost = SimTime::from_nanos((total_ns / rounds).max(1));
         }
 
-        let report = report_from_trees(&self.config, &trees, &tracker, simulations, phases);
+        let report = ledger.report(&self.config, &trees);
         self.resident = Some(trees);
         report
     }
 
     fn name(&self) -> String {
+        let launch = self.driver.launch_config();
         format!(
             "device-resident tree ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            launch.blocks, launch.threads_per_block
         )
     }
 }
@@ -541,7 +439,6 @@ mod tests {
     use crate::block_parallel::BlockParallelSearcher;
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_gpu_sim::DeviceSpec;
-    use pmcts_util::FaultPlan;
 
     fn device() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
@@ -573,7 +470,8 @@ mod tests {
         assert_eq!(searched.len(), launch.blocks as usize);
 
         let config = cfg(seed);
-        let launch_seed = stream_seed(seed, 0, 1);
+        // First launch (epoch 1) on sub-stream 0.
+        let launch_seed = seed.wrapping_add(0xA076_1D64_78BD_642F);
         let tpb = launch.threads_per_block as usize;
         for (b, searched_tree) in searched.iter().enumerate() {
             let mut reference = SearchTree::for_config(Reversi::initial(), &config);
@@ -711,55 +609,5 @@ mod tests {
             DeviceTreeSearcher::<TicTacToe>::new(cfg(5), device(), LaunchConfig::new(4, 32));
         let r = searcher.search(s, SearchBudget::Iterations(10));
         assert_eq!(r.best_move, Some(2));
-    }
-
-    #[test]
-    fn hang_retries_once_then_falls_back_to_host() {
-        // Hang on (nearly) every launch: the first hang retries, the
-        // second degrades to the host block-parallel loop, which then
-        // degrades its own playout launches to CPU playouts. The search
-        // still returns a move and keeps an exact ledger.
-        let config = cfg(8).with_faults(FaultPlan::gpu_hang(77, 1.0));
-        let mut s = DeviceTreeSearcher::<Reversi>::new(config, device(), LaunchConfig::new(2, 32));
-        let r = s.search(Reversi::initial(), SearchBudget::Iterations(3));
-        assert!(r.best_move.is_some());
-        assert!(r.phases.faults.injected >= 2);
-        // One device retry, plus one retry per fallback playout launch
-        // (the fallback's own launches also hang at rate 1.0).
-        assert!(r.phases.faults.retried >= 1, "device retry happens");
-        assert!(r.phases.faults.degraded > 0);
-        assert!(r.simulations > 0, "degraded iterations still simulate");
-        assert_eq!(r.phases.phase_sum(), r.elapsed);
-    }
-
-    #[test]
-    fn slowdown_stretches_device_time_only() {
-        let faulty = cfg(4).with_faults(FaultPlan::gpu_slowdown(55, 1.0, 3));
-        let clean = cfg(4);
-        let launch = LaunchConfig::new(2, 32);
-        let run = |c: MctsConfig| {
-            DeviceTreeSearcher::<Reversi>::new(c, device(), launch)
-                .search(Reversi::initial(), SearchBudget::Iterations(4))
-        };
-        let f = run(faulty);
-        let c = run(clean);
-        assert_eq!(f.root_stats, c.root_stats, "results unchanged, only time");
-        assert!(f.elapsed > c.elapsed);
-        assert!(f.phases.faults.injected > 0);
-        assert_eq!(f.phases.phase_sum(), f.elapsed);
-    }
-
-    #[test]
-    fn block_abort_skips_that_tree_for_the_launch() {
-        let config = cfg(3).with_faults(FaultPlan::gpu_abort(66, 1.0));
-        let mut s = DeviceTreeSearcher::<Reversi>::new(config, device(), LaunchConfig::new(4, 32));
-        let r = s.search(Reversi::initial(), SearchBudget::Iterations(3));
-        assert!(r.phases.faults.degraded > 0);
-        assert!(
-            r.simulations < 3 * 4 * 32,
-            "aborted blocks simulate nothing"
-        );
-        assert!(r.best_move.is_some(), "surviving trees still vote");
-        assert_eq!(r.phases.phase_sum(), r.elapsed);
     }
 }

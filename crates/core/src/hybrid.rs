@@ -14,123 +14,104 @@
 //! genuinely executes in the background via
 //! [`pmcts_gpu_sim::PendingLaunch`].
 
+use crate::block_parallel::{backprop_outputs, select_and_expand_all};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{aggregate, PlayoutKernel};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::{charge_serial, void_of, Ledger, WaveDriver};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
-use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
-use std::sync::Arc;
+use pmcts_util::{SimTime, Xoshiro256pp};
 
 /// Hybrid CPU+GPU block-parallel searcher.
 #[derive(Clone, Debug)]
 pub struct HybridSearcher<G: Game> {
     config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
+    driver: WaveDriver,
     rng: Xoshiro256pp,
     cpu_worker: SequentialSearcher<G>,
-    epoch: u64,
-    _game: std::marker::PhantomData<fn() -> G>,
 }
 
 impl<G: Game> HybridSearcher<G> {
     /// Creates a hybrid searcher: block-parallel GPU search plus CPU
     /// iterations overlapped with every kernel launch.
     pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0x4B1D);
-        let cpu_worker = SequentialSearcher::with_stream(config.clone(), 0xC0DE);
         HybridSearcher {
+            driver: WaveDriver::new(&config, device, launch, 0)
+                .with_epoch_mul(0x2545_F491_4F6C_DD1D)
+                .with_fault_stream(0x4B1D),
+            rng: Xoshiro256pp::derive(config.seed, 0x4B1D),
+            cpu_worker: SequentialSearcher::with_stream(config.clone(), 0xC0DE),
             config,
-            device,
-            launch,
-            rng,
-            cpu_worker,
-            epoch: 0,
-            _game: std::marker::PhantomData,
         }
     }
+}
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.epoch.wrapping_mul(0x2545_F491_4F6C_DD1D))
+/// The CPU side of the overlap: plain sequential MCTS iterations,
+/// round-robin over the trees.
+struct Shadow<'a, G: Game> {
+    worker: &'a mut SequentialSearcher<G>,
+    turn: usize,
+    /// Rolling estimate of one CPU iteration's cost, so the shadow loop
+    /// never overshoots the overlap window (a real CPU would not start a
+    /// simulation it cannot finish before the kernel completes). Floored
+    /// at 1 ns so a free cost model cannot spin forever.
+    est_iter: SimTime,
+}
+
+impl<G: Game> Shadow<'_, G> {
+    /// Runs iterations from virtual time `start` while the next one is
+    /// predicted to end by `limit`, charging them to `scratch`. Returns
+    /// the time reached.
+    fn run_until(
+        &mut self,
+        trees: &mut [SearchTree<G>],
+        start: SimTime,
+        limit: SimTime,
+        scratch: &mut PhaseBreakdown,
+    ) -> SimTime {
+        let mut shadow = BudgetTracker::new(SearchBudget::VirtualTime(limit));
+        shadow.elapsed = start;
+        while shadow.elapsed + self.est_iter <= limit {
+            let before = shadow.elapsed;
+            let tree = &mut trees[self.turn % trees.len()];
+            self.worker.one_iteration(tree, &mut shadow, scratch);
+            self.est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
+            self.turn += 1;
+        }
+        scratch.shadow_iterations += shadow.iterations;
+        shadow.elapsed
     }
 }
 
 impl<G: Game> Searcher<G> for HybridSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
+        let launch = self.driver.launch_config();
+        let blocks = launch.blocks as usize;
+        let tpb = launch.threads_per_block as usize;
         let mut trees: Vec<SearchTree<G>> = (0..blocks)
             .map(|_| SearchTree::for_config(root, &self.config))
             .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
+        let mut ledger = Ledger::new(budget);
+        let Ledger { tracker, phases } = &mut ledger;
         let cpu = self.config.cpu_cost;
+        let plan = self.config.faults;
         let mut kernel_estimate: Option<SimTime> = None;
-        let mut cpu_turn = 0usize;
-        // Rolling estimate of one CPU iteration's cost, so the shadow loop
-        // never overshoots the overlap window (a real CPU would not start a
-        // simulation it cannot finish before the kernel completes).
-        // (floored at 1 ns so a free cost model cannot spin forever)
-        let mut est_iter = (cpu.tree_op(8) + cpu.playout(G::MAX_GAME_LENGTH as u32 / 2))
-            .max(SimTime::from_nanos(1));
-
-        // Host tree phases fan out over the device's pool exactly as in
-        // `BlockParallelSearcher`: pool-parallel selection, sequential RNG
-        // pick drawing in block order, pool-parallel expansion. RNG draw
-        // order and cost folding are untouched, so reports stay
-        // bit-identical for any pool size.
-        let pool = Arc::clone(self.device.worker_pool());
-        let exploration_c = self.config.exploration_c;
+        let mut shadow = Shadow {
+            worker: &mut self.cpu_worker,
+            turn: 0,
+            est_iter: (cpu.tree_op(8) + cpu.playout(G::MAX_GAME_LENGTH as u32 / 2))
+                .max(SimTime::from_nanos(1)),
+        };
 
         if !trees[0].is_terminal(0) {
-            let plan = self.config.faults;
             while tracker.may_continue() {
-                let mut host_cost = cpu.launch_prep;
-                let selected: Vec<(u32, u32)> = pool.map_indexed(&mut trees, |_, tree| {
-                    let sel = tree.select(exploration_c);
-                    (sel, tree.untried_len(sel) as u32)
-                });
-                let picks: Vec<Option<u32>> = selected
-                    .iter()
-                    .map(|&(_, untried)| {
-                        if untried != 0 {
-                            phases.expansions += 1;
-                            Some(self.rng.next_below(untried))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                let frontier: Vec<(u32, G, u32)> = pool.map_indexed(&mut trees, |b, tree| {
-                    let node = match picks[b] {
-                        Some(pick) => tree.expand_with_pick(selected[b].0, pick),
-                        None => selected[b].0,
-                    };
-                    (node, *tree.state(node), tree.depth(node))
-                });
-                for &(_, _, depth) in &frontier {
-                    host_cost += cpu.tree_op(depth);
-                    phases.select += cpu.select_cost(depth);
-                    phases.expand += cpu.expand_cost();
-                }
-
-                let kernel = Arc::new(PlayoutKernel::new(
-                    frontier.iter().map(|&(_, s, _)| s).collect(),
-                    self.next_stream_seed(),
-                ));
-                let fault = plan.gpu_fault(0x4B1D, self.epoch, self.launch.blocks);
-                let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let pending = self
-                    .device
-                    .launch_async_with_fault(kernel, self.launch, fault);
+                let (frontier, host_cost) =
+                    select_and_expand_all(&mut trees, &mut self.rng, &self.config, phases);
+                let positions: Vec<G> = frontier.iter().map(|&(_, s, _)| s).collect();
+                let (pending, upload) = self.driver.launch_async(&positions, phases);
 
                 // CPU shadow work while the kernel flies: plain sequential
                 // MCTS iterations, round-robin over the same trees, bounded
@@ -141,18 +122,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 let mut shadow_elapsed = SimTime::ZERO;
                 let mut scratch = PhaseBreakdown::new();
                 if let Some(est) = kernel_estimate {
-                    let mut shadow = BudgetTracker::new(SearchBudget::VirtualTime(est));
-                    while shadow.elapsed + est_iter <= est {
-                        let before = shadow.elapsed;
-                        let tree = &mut trees[cpu_turn % blocks];
-                        simulations +=
-                            self.cpu_worker
-                                .one_iteration(tree, &mut shadow, &mut scratch);
-                        est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
-                        cpu_turn += 1;
-                    }
-                    shadow_elapsed = shadow.elapsed;
-                    scratch.shadow_iterations = shadow.iterations;
+                    shadow_elapsed = shadow.run_until(&mut trees, SimTime::ZERO, est, &mut scratch);
                 }
 
                 let result = pending.wait();
@@ -163,53 +133,17 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 // its shadow loop over the same trees, so the window still
                 // makes progress. Completed launches (possibly slowed,
                 // possibly with one aborted block) read back as usual.
-                let gpu_side = if result.fault == GpuFault::Hang {
+                let hung = result.fault == GpuFault::Hang;
+                let gpu_side = if hung {
                     let deadline = plan.hang_deadline(kernel_elapsed);
                     phases.faults.injected += 1;
                     phases.faults.degraded += 1;
-                    let mut shadow = BudgetTracker::new(SearchBudget::VirtualTime(deadline));
-                    shadow.elapsed = shadow_elapsed;
-                    while shadow.elapsed + est_iter <= deadline {
-                        let before = shadow.elapsed;
-                        let tree = &mut trees[cpu_turn % blocks];
-                        simulations +=
-                            self.cpu_worker
-                                .one_iteration(tree, &mut shadow, &mut scratch);
-                        est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
-                        cpu_turn += 1;
-                    }
-                    scratch.shadow_iterations += shadow.iterations;
-                    shadow_elapsed = shadow.elapsed;
+                    shadow_elapsed =
+                        shadow.run_until(&mut trees, shadow_elapsed, deadline, &mut scratch);
                     deadline
                 } else {
-                    let voided = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            Some(bad as usize)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            None
-                        }
-                    };
-                    // Pool-parallel backprop, counts folded in block order.
-                    let outputs = &result.outputs;
-                    let counts: Vec<u64> = pool.map_indexed(&mut trees, |b, tree| {
-                        if Some(b) == voided {
-                            return 0;
-                        }
-                        let lanes = &outputs[b * tpb..(b + 1) * tpb];
-                        let (wins_p1, n) = aggregate(lanes);
-                        tree.backprop(frontier[b].0, wins_p1, n);
-                        n
-                    });
-                    for n in counts {
-                        simulations += n;
-                        phases.simulations += n;
-                    }
+                    let voided = void_of(result.fault, phases);
+                    backprop_outputs(&mut trees, &frontier, &result.outputs, tpb, voided, phases);
                     phases.record_launch(&result.stats);
                     kernel_elapsed
                 };
@@ -218,13 +152,11 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 // the two, plus the non-overlapped host-sequential parts.
                 // The breakdown charges the critical side's phases; the
                 // hidden side's time is recorded as `overlap_saved`.
-                phases.upload += cpu.launch_prep + upload;
                 if gpu_side >= shadow_elapsed {
-                    if result.fault == GpuFault::Hang {
+                    if hung {
                         phases.kernel += gpu_side;
                     } else {
-                        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                        phases.readback += result.stats.readback_time;
+                        charge_serial(phases, &result.stats);
                     }
                     phases.overlap_saved += shadow_elapsed;
                 } else {
@@ -242,19 +174,14 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
             }
         }
 
-        crate::block_parallel::report_from_trees(
-            &self.config,
-            &trees,
-            &tracker,
-            simulations,
-            phases,
-        )
+        ledger.report(&self.config, &trees)
     }
 
     fn name(&self) -> String {
+        let launch = self.driver.launch_config();
         format!(
             "hybrid CPU+GPU ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            launch.blocks, launch.threads_per_block
         )
     }
 }

@@ -7,25 +7,28 @@
 //! same as in the basic CPU version except that the number of simulations
 //! is greater and the accuracy is better" — but all those simulations
 //! sample one node, which is why its playing strength saturates (Fig. 6).
+//!
+//! The searcher is a `WaveDriver` running a `LeafSession`: the
+//! sequential searcher's selection and expansion plus a launch, with
+//! faults resolved by the driver's one ladder.
 
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{aggregate, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
+use crate::cost::CpuCostModel;
+use crate::gpu::{aggregate, LaneOutcome};
+use crate::searcher::{SearchReport, Searcher};
+use crate::sequential::select_and_expand;
 use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
-use pmcts_util::Xoshiro256pp;
+use crate::wave::{cpu_playouts, Ledger, PlayoutRequest, SessionEngine, WaveDriver};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_util::{SimTime, Xoshiro256pp};
 
 /// Leaf-parallel GPU searcher.
 #[derive(Clone, Debug)]
 pub struct LeafParallelSearcher<G: Game> {
     config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
+    driver: WaveDriver,
     rng: Xoshiro256pp,
-    epoch: u64,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -43,156 +46,123 @@ impl<G: Game> LeafParallelSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0x1EAF ^ stream);
         LeafParallelSearcher {
+            rng: Xoshiro256pp::derive(config.seed, 0x1EAF ^ stream),
+            driver: WaveDriver::new(&config, device, launch, stream)
+                .with_epoch_mul(0xD134_2543_DE82_EF95),
             config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
             _game: std::marker::PhantomData,
         }
     }
+}
 
-    /// The launch geometry in use.
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
+/// Single-tree round engine: each round selects and expands one node, and
+/// every block of the round's launch simulates it. [`LeafParallelSearcher`]
+/// launches the whole grid on that node; the search service gives the
+/// session one block of a batched launch.
+pub(crate) struct LeafSession<G: Game> {
+    config: MctsConfig,
+    tree: SearchTree<G>,
+    rng: Xoshiro256pp,
+    ledger: Ledger,
+    threads_per_block: usize,
+    /// Frontier node and state between `begin_round` and its completion.
+    pending: Option<(u32, G)>,
+}
+
+impl<G: Game> LeafSession<G> {
+    pub(crate) fn new(
+        root: G,
+        budget: SearchBudget,
+        config: &MctsConfig,
+        rng: Xoshiro256pp,
+        threads_per_block: usize,
+    ) -> Self {
+        LeafSession {
+            config: config.clone(),
+            tree: SearchTree::for_config(root, config),
+            rng,
+            ledger: Ledger::new(budget),
+            threads_per_block,
+            pending: None,
+        }
+    }
+}
+
+impl<G: Game> SessionEngine<G> for LeafSession<G> {
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    /// Simulations per host iteration (= grid size).
-    pub fn sims_per_iteration(&self) -> u64 {
-        self.launch.total_threads() as u64
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xD134_2543_DE82_EF95))
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        assert!(self.pending.is_none(), "round already begun");
+        if self.tree.is_terminal(self.tree.root()) {
+            return None;
+        }
+        let (node, depth) = select_and_expand(
+            &mut self.tree,
+            &mut self.rng,
+            &self.config,
+            &mut self.ledger.phases,
+        );
+        let state = *self.tree.state(node);
+        self.pending = Some((node, state));
+        Some(PlayoutRequest {
+            positions: vec![state],
+            host_cost: self.config.cpu_cost.tree_op(depth),
+        })
+    }
+
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let (node, _) = self.pending.take().expect("no round in flight");
+        let (mut wins_p1, mut n) = (0.0, 0);
+        for (b, block) in lanes.chunks(self.threads_per_block).enumerate() {
+            if Some(b) != voided {
+                let (w, c) = aggregate(block);
+                wins_p1 += w;
+                n += c;
+            }
+        }
+        self.tree.backprop(node, wins_p1, n);
+        self.ledger.phases.simulations += n;
+    }
+
+    fn degrade(&mut self, cpu: &CpuCostModel) -> SimTime {
+        let (node, state) = self.pending.take().expect("no round in flight");
+        let tree = &mut self.tree;
+        cpu_playouts(
+            &[(node, state, 0)],
+            &mut self.rng,
+            cpu,
+            &mut self.ledger.phases,
+            |_, node, reward| tree.backprop(node, reward, 1),
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        self.ledger
+            .report(&self.config, std::slice::from_ref(&self.tree))
     }
 }
 
 impl<G: Game> Searcher<G> for LeafParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let mut tree = SearchTree::for_config(root, &self.config);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-
-        if !tree.is_terminal(tree.root()) {
-            let plan = self.config.faults;
-            while tracker.may_continue() {
-                // Selection + expansion on the host.
-                let selected = tree.select(self.config.exploration_c);
-                let node = if !tree.fully_expanded(selected) {
-                    phases.expansions += 1;
-                    tree.expand(selected, &mut self.rng)
-                } else {
-                    selected
-                };
-                let depth = tree.depth(node);
-                phases.select += cpu.select_cost(depth);
-                phases.expand += cpu.expand_cost();
-                let mut iter_cost = cpu.tree_op(depth);
-
-                // One kernel launch: the whole grid simulates this node. A
-                // launch that hangs past its virtual deadline is retried
-                // once with fresh stream randomness; a second hang degrades
-                // the iteration to one CPU playout so progress is always
-                // made.
-                let mut retried = false;
-                loop {
-                    let kernel =
-                        PlayoutKernel::new(vec![*tree.state(node)], self.next_stream_seed());
-                    let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                    let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                    let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                    phases.upload += cpu.launch_prep + upload;
-                    iter_cost += cpu.launch_prep + upload;
-
-                    if result.fault == GpuFault::Hang {
-                        // The host waits out the deadline; the launch's
-                        // outputs are void.
-                        let deadline = plan.hang_deadline(result.stats.elapsed());
-                        phases.kernel += deadline;
-                        iter_cost += deadline;
-                        phases.faults.injected += 1;
-                        if !retried {
-                            retried = true;
-                            phases.faults.retried += 1;
-                            continue;
-                        }
-                        let playout = random_playout(*tree.state(node), &mut self.rng);
-                        let cost = cpu.playout(playout.plies);
-                        phases.kernel += cost;
-                        iter_cost += cost;
-                        tree.backprop(node, playout.reward_for(Player::P1), 1);
-                        simulations += 1;
-                        phases.simulations += 1;
-                        phases.faults.degraded += 1;
-                        break;
-                    }
-
-                    // Completed launch (possibly slowed, possibly with one
-                    // aborted block whose lane results are void).
-                    let (wins_p1, n) = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            let tpb = self.launch.threads_per_block as usize;
-                            let mut wins = 0.0;
-                            let mut n = 0u64;
-                            for b in 0..self.launch.blocks as usize {
-                                if b == bad as usize {
-                                    continue;
-                                }
-                                let (w, c) = aggregate(&result.outputs[b * tpb..(b + 1) * tpb]);
-                                wins += w;
-                                n += c;
-                            }
-                            (wins, n)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            aggregate(&result.outputs)
-                        }
-                    };
-                    tree.backprop(node, wins_p1, n);
-                    simulations += n;
-                    phases.simulations += n;
-                    phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                    phases.readback += result.stats.readback_time;
-                    iter_cost += result.stats.elapsed();
-                    phases.record_launch(&result.stats);
-                    break;
-                }
-
-                tracker.charge(iter_cost);
-            }
-        }
-
-        phases.budget_overshoot = tracker.overshoot();
-        SearchReport {
-            best_move: tree.best_move(self.config.final_move),
-            simulations,
-            iterations: tracker.iterations,
-            tree_nodes: tree.live_nodes() as u64,
-            max_depth: tree.max_depth(),
-            elapsed: tracker.elapsed,
-            root_stats: tree.root_stats(),
-            phases,
-        }
+        let tpb = self.driver.launch_config().threads_per_block as usize;
+        let mut engine = LeafSession::new(root, budget, &self.config, self.rng.clone(), tpb);
+        self.driver.run(&mut engine);
+        self.rng = engine.rng.clone();
+        engine.finish()
     }
 
     fn name(&self) -> String {
+        let launch = self.driver.launch_config();
         format!(
             "leaf parallelism ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            launch.blocks, launch.threads_per_block
         )
     }
 }

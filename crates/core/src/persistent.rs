@@ -7,10 +7,10 @@
 //! behaviour; the `tree_reuse` ablation shows what it buys at equal budget.
 
 use crate::config::{MctsConfig, SearchBudget};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
+use crate::searcher::{SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
-use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::Ledger;
 use pmcts_games::Game;
 
 /// Sequential UCT with tree reuse across consecutive `search` calls.
@@ -79,23 +79,12 @@ impl<G: Game> Searcher<G> for PersistentSearcher<G> {
             }
         };
 
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0;
+        let mut ledger = Ledger::new(budget);
         if !tree.is_terminal(tree.root()) {
-            simulations = self.inner.run_on_tree(&mut tree, &mut tracker, &mut phases);
+            self.inner
+                .run_on_tree(&mut tree, &mut ledger.tracker, &mut ledger.phases);
         }
-        phases.budget_overshoot = tracker.overshoot();
-        let report = SearchReport {
-            best_move: tree.best_move(self.config.final_move),
-            simulations,
-            iterations: tracker.iterations,
-            tree_nodes: tree.live_nodes() as u64,
-            max_depth: tree.max_depth(),
-            elapsed: tracker.elapsed,
-            root_stats: tree.root_stats(),
-            phases,
-        };
+        let report = ledger.report(&self.config, std::slice::from_ref(&tree));
         self.carry = Some(tree);
         report
     }

@@ -21,35 +21,38 @@
 //! (`budget_overshoot` reports it), so no launched work is ever dropped.
 //!
 //! Faults break the pipeline: a hang detected at completion time is
-//! handled **serially** — charge the hang deadline, retry once with a
-//! fresh stream seed, degrade to one CPU playout per tree on a second
-//! hang — and that round's select/expand is charged serially too (no
+//! handled **serially** by the shared ladder of
+//! `WaveDriver::land` — charge the hang
+//! deadline, retry once with a fresh stream seed, degrade to one CPU
+//! playout per tree on a second hang — and that round's select/expand is
+//! charged serially too (no
 //! overlap credit; a real pipeline stalls on a fault). `BlockAbort` voids
 //! the aborted block's backpropagation as usual. Determinism is untouched:
 //! wave composition depends only on the launch schedule, never on thread
 //! timing, so reports are bit-identical for any host-thread count.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::{backprop_outputs, select_and_expand_all};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
+use crate::cost::CpuCostModel;
+use crate::gpu::LaneOutcome;
+use crate::searcher::{SearchReport, Searcher};
 use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig, WorkerPool};
+use crate::wave::{
+    charge_serial, cpu_playouts, Frontier, Landing, Ledger, PlayoutRequest, SessionEngine,
+    WaveDriver,
+};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig, PendingLaunch};
 use pmcts_util::{SimTime, Xoshiro256pp};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
 /// Pipelined block-parallel searcher: select/expand of wave `k` overlaps
 /// the in-flight kernel of wave `k−1`.
 #[derive(Clone, Debug)]
 pub struct PipelinedSearcher<G: Game> {
     config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
+    driver: WaveDriver,
     rng: Xoshiro256pp,
-    epoch: u64,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -67,267 +70,217 @@ impl<G: Game> PipelinedSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0xF1FE ^ stream);
         PipelinedSearcher {
+            rng: Xoshiro256pp::derive(config.seed, 0xF1FE ^ stream),
+            driver: WaveDriver::new(&config, device, launch, stream),
             config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
             _game: std::marker::PhantomData,
         }
     }
+}
 
-    /// The launch geometry (blocks = trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
+/// Pipelined block-tree round engine: `B` trees with **deferred
+/// backpropagation**. A round's outputs land only after the next round
+/// has selected, which is the pipeline hazard: selection cannot observe
+/// results that have not been read back. [`PipelinedSearcher`] completes
+/// wave `k−1` after selecting wave `k`, so its outputs land at once; the
+/// search service completes each round before the next one selects, so
+/// they wait for the next `begin_round` (or `finish`, so launched work is
+/// never dropped).
+pub(crate) struct PipelinedSession<G: Game> {
+    config: MctsConfig,
+    trees: Vec<SearchTree<G>>,
+    pub(crate) rng: Xoshiro256pp,
+    pub(crate) ledger: Ledger,
+    threads_per_block: usize,
+    /// Frontiers of begun rounds not yet completed, oldest first.
+    launched: VecDeque<Frontier<G>>,
+    /// A completed round waiting for the next round's selection.
+    deferred: Option<(Frontier<G>, Vec<LaneOutcome>, Option<usize>)>,
+}
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
-
-    /// Serial fault ladder for a wave whose first launch hung: charge the
-    /// hang deadline, retry once with a fresh stream seed (upload
-    /// recharged), and on a second hang degrade to one CPU playout per
-    /// tree. Returns the total virtual cost, with every component already
-    /// charged to the matching phase so the ledger stays exact.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_hung_wave(
-        &mut self,
-        trees: &mut [SearchTree<G>],
-        frontier: &[(u32, G, u32)],
-        first_elapsed: SimTime,
-        tpb: usize,
-        pool: &Arc<WorkerPool>,
-        phases: &mut PhaseBreakdown,
-        simulations: &mut u64,
-    ) -> SimTime {
-        let cpu = self.config.cpu_cost;
-        let plan = self.config.faults;
-        let deadline = plan.hang_deadline(first_elapsed);
-        phases.kernel += deadline;
-        phases.faults.injected += 1;
-        phases.faults.retried += 1;
-        let mut cost = deadline;
-
-        let kernel = PlayoutKernel::new(
-            frontier.iter().map(|&(_, s, _)| s).collect(),
-            self.next_stream_seed(),
-        );
-        let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-        let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-        let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-        phases.upload += cpu.launch_prep + upload;
-        cost += cpu.launch_prep + upload;
-
-        if result.fault == GpuFault::Hang {
-            let deadline = plan.hang_deadline(result.stats.elapsed());
-            phases.kernel += deadline;
-            cost += deadline;
-            phases.faults.injected += 1;
-            for (b, tree) in trees.iter_mut().enumerate() {
-                let playout = random_playout(frontier[b].1, &mut self.rng);
-                let playout_cost = cpu.playout(playout.plies);
-                phases.kernel += playout_cost;
-                cost += playout_cost;
-                tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                *simulations += 1;
-                phases.simulations += 1;
-                phases.faults.degraded += 1;
-            }
-            return cost;
+impl<G: Game> PipelinedSession<G> {
+    pub(crate) fn new(
+        root: G,
+        budget: SearchBudget,
+        config: &MctsConfig,
+        blocks: u32,
+        rng: Xoshiro256pp,
+        threads_per_block: usize,
+    ) -> Self {
+        assert!(blocks >= 1, "pipelined session needs ≥ 1 tree");
+        PipelinedSession {
+            config: config.clone(),
+            trees: (0..blocks)
+                .map(|_| SearchTree::for_config(root, config))
+                .collect(),
+            rng,
+            ledger: Ledger::new(budget),
+            threads_per_block,
+            launched: VecDeque::new(),
+            deferred: None,
         }
+    }
 
-        let voided = void_of(result.fault, phases);
-        *simulations +=
-            backprop_outputs(trees, frontier, &result.outputs, tpb, voided, pool, phases);
-        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-        phases.readback += result.stats.readback_time;
-        cost += result.stats.elapsed();
-        phases.record_launch(&result.stats);
-        cost
+    fn backprop(
+        &mut self,
+        frontier: &[(u32, G, u32)],
+        lanes: &[LaneOutcome],
+        voided: Option<usize>,
+    ) {
+        backprop_outputs(
+            &mut self.trees,
+            frontier,
+            lanes,
+            self.threads_per_block,
+            voided,
+            &mut self.ledger.phases,
+        );
+    }
+
+    fn flush_deferred(&mut self) {
+        if let Some((frontier, lanes, voided)) = self.deferred.take() {
+            self.backprop(&frontier, &lanes, voided);
+        }
     }
 }
 
-/// Translates a non-hang launch fault into the voided block (if any),
-/// folding the fault counters.
-fn void_of(fault: GpuFault, phases: &mut PhaseBreakdown) -> Option<usize> {
-    match fault {
-        GpuFault::BlockAbort(bad) => {
-            phases.faults.injected += 1;
-            phases.faults.degraded += 1;
-            Some(bad as usize)
+impl<G: Game> SessionEngine<G> for PipelinedSession<G> {
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        if self.trees[0].is_terminal(self.trees[0].root()) {
+            return None;
         }
-        f => {
-            if f != GpuFault::None {
-                phases.faults.injected += 1;
-            }
-            None
+        // Pipeline ordering: select from the trees as they stood before the
+        // previous round's results landed, *then* apply those results.
+        let (frontier, host_cost) = select_and_expand_all(
+            &mut self.trees,
+            &mut self.rng,
+            &self.config,
+            &mut self.ledger.phases,
+        );
+        self.flush_deferred();
+        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
+        self.launched.push_back(frontier);
+        Some(PlayoutRequest {
+            positions,
+            host_cost,
+        })
+    }
+
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let frontier = self.launched.pop_front().expect("no round in flight");
+        if self.launched.is_empty() {
+            self.deferred = Some((frontier, lanes.to_vec(), voided));
+        } else {
+            self.backprop(&frontier, lanes, voided);
         }
+    }
+
+    fn degrade(&mut self, cpu: &CpuCostModel) -> SimTime {
+        let frontier = self.launched.pop_front().expect("no round in flight");
+        let trees = &mut self.trees;
+        cpu_playouts(
+            &frontier,
+            &mut self.rng,
+            cpu,
+            &mut self.ledger.phases,
+            |b, node, reward| trees[b].backprop(node, reward, 1),
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        self.flush_deferred();
+        self.ledger.report(&self.config, &self.trees)
     }
 }
 
 impl<G: Game> Searcher<G> for PipelinedSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-        let pool = Arc::clone(self.device.worker_pool());
-
-        if trees[0].is_terminal(0) {
-            return report_from_trees(&self.config, &trees, &tracker, 0, phases);
-        }
-
-        let plan = self.config.faults;
-        // The wave in flight: its frontier plus the pending launch handle.
-        type InFlight<G> = (
-            Vec<(u32, G, u32)>,
-            pmcts_gpu_sim::PendingLaunch<LaneOutcome>,
+        let launch = self.driver.launch_config();
+        let mut engine = PipelinedSession::new(
+            root,
+            budget,
+            &self.config,
+            launch.blocks,
+            self.rng.clone(),
+            launch.threads_per_block as usize,
         );
-        let mut pending: Option<InFlight<G>> = None;
-        while tracker.may_continue() {
-            let mut iter_cost = SimTime::ZERO;
-
+        // The wave in flight: its positions plus the pending launch handle.
+        let mut in_flight: Option<(Vec<G>, PendingLaunch<LaneOutcome>)> = None;
+        while engine.wants_more() {
             // Stage 1 — select/expand wave k while wave k−1 (if any) is
-            // still in flight. Phase times land in `scratch` first: whether
-            // they appear in the breakdown depends on which side of the
-            // overlap turns out to be the critical path.
-            let mut scratch = PhaseBreakdown::new();
-            let (frontier, host_cost) = select_and_expand_all(
-                &mut trees,
-                &mut self.rng,
-                self.config.exploration_c,
-                &cpu,
-                &pool,
-                &mut scratch,
-            );
+            // still in flight. The engine charges the select/expand phases
+            // now; they are taken back below when the kernel side turns
+            // out to be the critical path.
+            let charged = (engine.ledger.phases.select, engine.ledger.phases.expand);
+            let Some(request) = engine.begin_round() else {
+                break;
+            };
+            let host_cost = request.host_cost;
 
             // Stage 2 — complete wave k−1.
-            if let Some((prev_frontier, launch)) = pending.take() {
-                let result = launch.wait();
-                if result.fault == GpuFault::Hang {
-                    // Fault breaks the pipeline: resolve the hung wave
-                    // serially, then charge this round's select/expand
-                    // serially too — no overlap credit on a stall.
-                    iter_cost += self.resolve_hung_wave(
-                        &mut trees,
-                        &prev_frontier,
-                        result.stats.elapsed(),
-                        tpb,
-                        &pool,
-                        &mut phases,
-                        &mut simulations,
-                    );
-                    phases.select += scratch.select;
-                    phases.expand += scratch.expand;
-                    iter_cost += host_cost;
-                } else {
-                    let voided = void_of(result.fault, &mut phases);
-                    simulations += backprop_outputs(
-                        &mut trees,
-                        &prev_frontier,
-                        &result.outputs,
-                        tpb,
-                        voided,
-                        &pool,
-                        &mut phases,
-                    );
-                    phases.record_launch(&result.stats);
-                    // Overlap pricing: charge the critical side's phases,
-                    // record the hidden side as saved.
-                    let gpu_side = result.stats.elapsed();
-                    if gpu_side >= host_cost {
-                        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                        phases.readback += result.stats.readback_time;
-                        phases.overlap_saved += host_cost;
-                    } else {
-                        phases.select += scratch.select;
-                        phases.expand += scratch.expand;
-                        phases.overlap_saved += gpu_side;
+            let mut iter_cost = match in_flight.take() {
+                Some((positions, launch)) => {
+                    match self.driver.land(&mut engine, &positions, launch.wait()) {
+                        Landing::Completed(stats) => {
+                            // Overlap pricing: charge the critical side's
+                            // phases, record the hidden side as saved.
+                            let phases = &mut engine.ledger.phases;
+                            let gpu_side = stats.elapsed();
+                            if gpu_side >= host_cost {
+                                charge_serial(phases, &stats);
+                                (phases.select, phases.expand) = charged;
+                                phases.overlap_saved += host_cost;
+                            } else {
+                                phases.overlap_saved += gpu_side;
+                            }
+                            phases.shadow_overlap += host_cost;
+                            gpu_side.max(host_cost)
+                        }
+                        // A fault breaks the pipeline: the ladder resolved
+                        // the hung wave serially, and this round's
+                        // select/expand is charged serially too.
+                        Landing::Recovered(cost) => cost + host_cost,
                     }
-                    phases.shadow_overlap += host_cost;
-                    iter_cost += gpu_side.max(host_cost);
                 }
-            } else {
-                // Pipeline is empty (first wave): nothing to overlap with,
-                // the select/expand cost is charged serially.
-                phases.select += scratch.select;
-                phases.expand += scratch.expand;
-                iter_cost += host_cost;
-            }
-            phases.absorb_counters(&scratch);
+                // Pipeline is empty (first wave): nothing to overlap with.
+                None => host_cost,
+            };
 
             // Stage 3 — launch wave k asynchronously; it completes at the
             // top of the next round (or in the drain below).
-            let kernel = Arc::new(PlayoutKernel::new(
-                frontier.iter().map(|&(_, s, _)| s).collect(),
-                self.next_stream_seed(),
-            ));
-            let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-            let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-            let launch = self
-                .device
-                .launch_async_with_fault(kernel, self.launch, fault);
-            phases.upload += cpu.launch_prep + upload;
-            iter_cost += cpu.launch_prep + upload;
-            pending = Some((frontier, launch));
-
-            tracker.charge(iter_cost);
+            let (launch, upload) = self
+                .driver
+                .launch_async(&request.positions, &mut engine.ledger.phases);
+            iter_cost += upload;
+            in_flight = Some((request.positions, launch));
+            engine.ledger.tracker.charge(iter_cost);
         }
 
         // Drain — the budget expired with one wave still in flight. Its
         // results are not dropped: complete it and charge the time as wait
         // (`budget_overshoot` reports it; `iterations` is unaffected).
-        if let Some((prev_frontier, launch)) = pending.take() {
-            let result = launch.wait();
-            let cost = if result.fault == GpuFault::Hang {
-                self.resolve_hung_wave(
-                    &mut trees,
-                    &prev_frontier,
-                    result.stats.elapsed(),
-                    tpb,
-                    &pool,
-                    &mut phases,
-                    &mut simulations,
-                )
-            } else {
-                let voided = void_of(result.fault, &mut phases);
-                simulations += backprop_outputs(
-                    &mut trees,
-                    &prev_frontier,
-                    &result.outputs,
-                    tpb,
-                    voided,
-                    &pool,
-                    &mut phases,
-                );
-                phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                phases.readback += result.stats.readback_time;
-                phases.record_launch(&result.stats);
-                result.stats.elapsed()
-            };
-            tracker.charge_wait(cost);
+        if let Some((positions, launch)) = in_flight {
+            let cost = self.driver.settle(&mut engine, &positions, launch.wait());
+            engine.ledger.tracker.charge_wait(cost);
         }
-
-        report_from_trees(&self.config, &trees, &tracker, simulations, phases)
+        self.rng = engine.rng.clone();
+        engine.finish()
     }
 
     fn name(&self) -> String {
+        let launch = self.driver.launch_config();
         format!(
             "pipelined block-parallel ({} trees × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            launch.blocks, launch.threads_per_block
         )
     }
 }
@@ -338,7 +291,6 @@ mod tests {
     use crate::block_parallel::BlockParallelSearcher;
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_gpu_sim::DeviceSpec;
-    use pmcts_util::FaultPlan;
 
     fn device() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
@@ -388,28 +340,6 @@ mod tests {
                 .search(Reversi::initial(), SearchBudget::Iterations(6))
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fault_ladder_keeps_ledger_exact() {
-        for plan in [
-            FaultPlan::gpu_hang(21, 1.0),
-            FaultPlan::gpu_abort(22, 1.0),
-            FaultPlan::gpu_slowdown(23, 1.0, 3),
-        ] {
-            let mut s = PipelinedSearcher::<Reversi>::new(
-                cfg(4).with_faults(plan),
-                device(),
-                LaunchConfig::new(4, 32),
-            );
-            let r = s.search(Reversi::initial(), SearchBudget::Iterations(6));
-            assert!(r.phases.faults.injected > 0, "plan must fire");
-            assert_eq!(
-                r.phases.phase_sum(),
-                r.elapsed,
-                "fault path broke the ledger"
-            );
-        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::Ledger;
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_util::Xoshiro256pp;
 
@@ -56,23 +57,11 @@ impl<G: Game> SequentialSearcher<G> {
         budget: SearchBudget,
     ) -> (SearchReport<G::Move>, SearchTree<G>) {
         let mut tree = SearchTree::for_config(root, &self.config);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
+        let mut ledger = Ledger::new(budget);
         if !tree.is_terminal(tree.root()) {
-            simulations = self.run_on_tree(&mut tree, &mut tracker, &mut phases);
+            self.run_on_tree(&mut tree, &mut ledger.tracker, &mut ledger.phases);
         }
-        phases.budget_overshoot = tracker.overshoot();
-        let report = SearchReport {
-            best_move: tree.best_move(self.config.final_move),
-            simulations,
-            iterations: tracker.iterations,
-            tree_nodes: tree.live_nodes() as u64,
-            max_depth: tree.max_depth(),
-            elapsed: tracker.elapsed,
-            root_stats: tree.root_stats(),
-            phases,
-        };
+        let report = ledger.report(&self.config, std::slice::from_ref(&tree));
         (report, tree)
     }
 
@@ -103,7 +92,7 @@ impl<G: Game> SequentialSearcher<G> {
         phases: &mut PhaseBreakdown,
     ) -> u64 {
         let cost = self.config.cpu_cost;
-        let (node, depth) = self.select_and_expand(tree, phases);
+        let (node, depth) = select_and_expand(tree, &mut self.rng, &self.config, phases);
         let result = random_playout(*tree.state(node), &mut self.rng);
         let wins_p1 = result.reward_for(Player::P1);
         tree.backprop(node, wins_p1, 1);
@@ -112,31 +101,30 @@ impl<G: Game> SequentialSearcher<G> {
         tracker.charge(cost.tree_op(depth) + cost.playout(result.plies));
         1
     }
+}
 
-    /// The host half of one iteration — selection plus (at most) one
-    /// expansion, charging the `select`/`expand` phases. Returns the node
-    /// to simulate and its depth. Shared between [`Self::one_iteration`]
-    /// (which follows with a CPU playout) and the multi-session search
-    /// service (which defers the playout to a batched device launch).
-    /// Draws at most one RNG value, exactly as `one_iteration` always has.
-    pub(crate) fn select_and_expand(
-        &mut self,
-        tree: &mut SearchTree<G>,
-        phases: &mut PhaseBreakdown,
-    ) -> (u32, u32) {
-        let cost = &self.config.cpu_cost;
-        let selected = tree.select(self.config.exploration_c);
-        let node = if !tree.fully_expanded(selected) {
-            phases.expansions += 1;
-            tree.expand(selected, &mut self.rng)
-        } else {
-            selected // terminal leaf: re-sample its outcome
-        };
-        let depth = tree.depth(node);
-        phases.select += cost.select_cost(depth);
-        phases.expand += cost.expand_cost();
-        (node, depth)
-    }
+/// The host half of one iteration — selection plus (at most) one
+/// expansion, charging the `select`/`expand` phases. Returns the node to
+/// simulate and its depth. Shared by [`SequentialSearcher`] (which follows
+/// with a CPU playout) and the GPU engines (which simulate the node on
+/// the device). Draws at most one value from `rng`.
+pub(crate) fn select_and_expand<G: Game>(
+    tree: &mut SearchTree<G>,
+    rng: &mut Xoshiro256pp,
+    config: &MctsConfig,
+    phases: &mut PhaseBreakdown,
+) -> (u32, u32) {
+    let selected = tree.select(config.exploration_c);
+    let node = if !tree.fully_expanded(selected) {
+        phases.expansions += 1;
+        tree.expand(selected, rng)
+    } else {
+        selected // terminal leaf: re-sample its outcome
+    };
+    let depth = tree.depth(node);
+    phases.select += config.cpu_cost.select_cost(depth);
+    phases.expand += config.cpu_cost.expand_cost();
+    (node, depth)
 }
 
 impl<G: Game> Searcher<G> for SequentialSearcher<G> {

@@ -6,9 +6,8 @@
 //! own budget — and a solo session with a handful of blocks leaves most of
 //! the device's SMs idle. [`SearchService`] multiplexes sessions over one
 //! shared device: every *round* it asks each active session for its next
-//! playout batch (selection + expansion on the host, via the steppable
-//! engine surface), packs all batches into **one** kernel through
-//! [`Device::launch_batched`] — block `b` of the merged grid serves
+//! playout batch (selection + expansion on the host), packs all batches
+//! into **one** kernel through [`Device::launch_batched`] — block `b` of the merged grid serves
 //! session-queue `b` — and hands each session back its output slice for
 //! backpropagation. One launch overhead and one device round-trip are
 //! amortised over every session, and the merged grid is large enough to
@@ -50,15 +49,21 @@
 //! launch packing run in session-id order (ids are assigned at admission
 //! from a monotone counter), wave packing in (deadline, session-id) order
 //! — both pure functions of admitted state, never of arrival or
-//! completion timing; host phases fan out over the device's
-//! [`WorkerPool`] with index-keyed folding; and
-//! per-lane RNG streams derive from the service seed, the launch epoch and
-//! the lane's position in the merged grid. The same seed and the same
-//! admission sequence therefore produce byte-identical results for any
-//! `--host-threads` count. Fault injection is not applied on the service
-//! path (sessions model a trusted shared device; the fault matrix covers
-//! the standalone engines — the fleet layer injects *shard death* above
+//! completion timing; host phases run in block order on the calling
+//! thread; and per-lane RNG streams derive from the service seed, the
+//! launch epoch and the lane's position in the merged grid. The same seed
+//! and the same admission sequence therefore produce byte-identical
+//! results for any `--host-threads` count. Fault injection is not applied
+//! on the service path yet (the fleet layer injects *shard death* above
 //! the service).
+//!
+//! # Sessions are the solo searchers' engines
+//!
+//! Each session is a `SessionEngine` (`core/src/wave.rs`): the same
+//! round engine the leaf-, block-, WU-UCT- and pipelined searchers run
+//! alone through the solo driver. [`SearchService::admit`] picks one by
+//! [`SessionKind`]. Engines do the tree work; this service charges their
+//! launch, queue and budget, as the solo driver does for a searcher.
 //!
 //! Per-session reports carry the full time-phase ledger
 //! (`phase_sum() == elapsed`, now including `queue`) and launch counts;
@@ -66,18 +71,18 @@
 //! grids and are recorded per launch in [`SearchService::launches`]
 //! rather than split across sessions.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::BlockSession;
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
-use crate::gpu::{aggregate, LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport};
-use crate::sequential::SequentialSearcher;
-use crate::telemetry::PhaseBreakdown;
-use crate::tree::SearchTree;
+use crate::gpu::PlayoutKernel;
+use crate::leaf_parallel::LeafSession;
+use crate::pipelined::PipelinedSession;
+use crate::searcher::SearchReport;
+use crate::wave::{PlayoutRequest, SessionEngine};
+use crate::wu_uct::WuUctSession;
 use pmcts_games::Game;
-use pmcts_gpu_sim::{BatchSegment, Device, WorkerPool};
+use pmcts_gpu_sim::{BatchSegment, Device};
 use pmcts_util::{SimTime, Xoshiro256pp};
-use std::sync::Arc;
 
 /// Identity of one admitted search session. Ids are assigned from a
 /// monotone counter at admission and define the (deterministic) batching
@@ -91,394 +96,30 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// One session's playout work for the next batched round: the frontier
-/// positions to simulate (one per block the session owns in the merged
-/// grid) and the host-side cost of producing them.
-pub struct PlayoutRequest<G> {
-    /// Frontier positions, one per block.
-    pub positions: Vec<G>,
-    /// Virtual cost of this round's selection + expansion.
-    pub host_cost: SimTime,
-}
-
-/// How one batched round's shared latency lands on one session, as
-/// computed by the service (see the module docs): `queue` is the other
-/// sessions' host work plus launch preparation; `upload`/`kernel`/
-/// `readback` are the shared device-side components, identical for every
-/// participant of the round.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundLatency {
-    /// Waiting on the rest of the batch (zero for a solo session's rounds
-    /// minus the launch preparation).
-    pub queue: SimTime,
-    /// Launch preparation + host→device transfer of the merged roots.
-    pub upload: SimTime,
-    /// Launch overhead + device execution of the merged grid.
-    pub kernel: SimTime,
-    /// Device→host readback of the merged outputs.
-    pub readback: SimTime,
-}
-
-impl RoundLatency {
-    fn total(&self) -> SimTime {
-        self.queue + self.upload + self.kernel + self.readback
-    }
-}
-
-/// The steppable engine surface the service multiplexes: one round is
-/// `begin_round` (host selection/expansion → [`PlayoutRequest`]), an
-/// externally executed batched launch, then `complete_round` (backprop +
-/// budget charge). Implemented by the sequential- and block-tree session
-/// engines; the standalone searchers keep their lockstep loops.
-pub trait SessionEngine<G: Game>: Send {
-    /// Whether the session's budget admits another round.
-    fn wants_more(&self) -> bool;
-    /// Host half of the next round, or `None` when the root is terminal.
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>>;
-    /// Playout outcomes for this session's blocks (block-major lanes) and
-    /// the round's latency attribution; backpropagates and charges the
-    /// session's budget tracker.
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency);
-    /// Charges a round the session sat out (wave packing left it behind):
-    /// the whole round lands on the `queue` phase and on the budget
-    /// tracker, so waiting consumes a latency SLO without counting as an
-    /// iteration.
-    fn charge_wait(&mut self, wait: SimTime);
-    /// Builds the session's final report.
-    fn finish(&mut self) -> SearchReport<G::Move>;
-}
-
-/// Sequential-tree session: one tree, one block per round, the block's
-/// lanes are a leaf-parallel playout batch for the selected frontier node.
-/// Not bit-identical to [`SequentialSearcher`] (whose playouts run on the
-/// CPU model) — by design: the service trades the CPU playout for device
-/// lanes.
-struct SequentialSession<G: Game> {
-    inner: SequentialSearcher<G>,
-    tree: SearchTree<G>,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    /// Frontier node + host cost between `begin_round` and
-    /// `complete_round`.
-    pending: Option<(u32, SimTime)>,
-}
-
-impl<G: Game> SessionEngine<G> for SequentialSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.tree.is_terminal(self.tree.root()) {
-            return None;
-        }
-        let (node, depth) = self
-            .inner
-            .select_and_expand(&mut self.tree, &mut self.phases);
-        let host_cost = self.inner.config().cpu_cost.tree_op(depth);
-        self.pending = Some((node, host_cost));
-        Some(PlayoutRequest {
-            positions: vec![*self.tree.state(node)],
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (node, host_cost) = self.pending.take().expect("no round in flight");
-        let (wins_p1, n) = aggregate(lanes);
-        self.tree.backprop(node, wins_p1, n);
-        self.simulations += n;
-        self.phases.simulations += n;
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        let mut phases = self.phases.clone();
-        phases.budget_overshoot = self.tracker.overshoot();
-        SearchReport {
-            best_move: self.tree.best_move(self.inner.config().final_move),
-            simulations: self.simulations,
-            iterations: self.tracker.iterations,
-            tree_nodes: self.tree.live_nodes() as u64,
-            max_depth: self.tree.max_depth(),
-            elapsed: self.tracker.elapsed,
-            root_stats: self.tree.root_stats(),
-            phases,
-        }
-    }
-}
-
-/// Block-tree session: `B` independent trees, one block each per round —
-/// the block-parallel scheme's host phases (shared with
-/// [`crate::block_parallel`]), with the launch delegated to the service.
-struct BlockSession<G: Game> {
-    config: MctsConfig,
-    trees: Vec<SearchTree<G>>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    pool: Arc<WorkerPool>,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-}
-
-/// Per-round frontier of a block session: `(node, position, depth)` per
-/// block, as produced by `block_parallel::select_and_expand_all`.
-type BlockFrontier<G> = Vec<(u32, G, u32)>;
-
-impl<G: Game> SessionEngine<G> for BlockSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.trees[0].is_terminal(self.trees[0].root()) {
-            return None;
-        }
-        let (frontier, host_cost) = select_and_expand_all(
-            &mut self.trees,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &self.pool,
-            &mut self.phases,
-        );
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.simulations += backprop_outputs(
-            &mut self.trees,
-            &frontier,
-            lanes,
-            self.threads_per_block,
-            None,
-            &self.pool,
-            &mut self.phases,
-        );
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        report_from_trees(
-            &self.config,
-            &self.trees,
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
-}
-
-/// WU-UCT session: **one shared tree**, `B` blocks per round, selection
-/// corrected by in-flight unobserved counts — the service-hosted form of
-/// [`crate::wu_uct::WuUctSearcher`] (host phases shared with it). Between
-/// `begin_round` and `complete_round` the wave's `O` registrations are
-/// live on the tree; `complete_round` rolls them back exactly before
-/// backpropagating, so all counters are zero between rounds.
-struct WuUctSession<G: Game> {
-    config: MctsConfig,
-    tree: SearchTree<G>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    blocks: usize,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-}
-
-impl<G: Game> SessionEngine<G> for WuUctSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.tree.is_terminal(self.tree.root()) {
-            return None;
-        }
-        let (frontier, host_cost) = crate::wu_uct::select_wave(
-            &mut self.tree,
-            self.blocks,
-            self.threads_per_block as u32,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &mut self.phases,
-        );
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.simulations += crate::wu_uct::backprop_wave(
-            &mut self.tree,
-            &frontier,
-            lanes,
-            self.threads_per_block,
-            None,
-            &mut self.phases,
-        );
-        debug_assert_eq!(
-            self.tree.inflight_total(),
-            0,
-            "in-flight residue after round"
-        );
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        report_from_trees(
-            &self.config,
-            std::slice::from_ref(&self.tree),
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
-}
-
-/// Pipelined block-tree session: a [`BlockSession`] with **deferred
-/// backpropagation** — round `k+1`'s selection runs before round `k`'s
-/// outputs are applied, reproducing the pipeline hazard semantics of
-/// [`crate::pipelined::PipelinedSearcher`]. The service's shared device
-/// serialises rounds, so no latency is discounted: charging is identical
-/// to [`BlockSession`] (the `completed_at − admitted_at == elapsed`
-/// invariant is untouched); only the *ordering* of tree updates is
-/// pipelined. `finish` flushes the final deferred wave, so launched work
-/// is never dropped.
-struct PipelinedSession<G: Game> {
-    config: MctsConfig,
-    trees: Vec<SearchTree<G>>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    pool: Arc<WorkerPool>,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-    /// Last round's frontier + outputs, applied at the *next* round's
-    /// `begin_round` (after its selection) or at `finish`.
-    deferred: Option<(BlockFrontier<G>, Vec<LaneOutcome>)>,
-}
-
-impl<G: Game> PipelinedSession<G> {
-    fn flush_deferred(&mut self) {
-        if let Some((frontier, lanes)) = self.deferred.take() {
-            self.simulations += backprop_outputs(
-                &mut self.trees,
-                &frontier,
-                &lanes,
-                self.threads_per_block,
-                None,
-                &self.pool,
-                &mut self.phases,
-            );
-        }
-    }
-}
-
-impl<G: Game> SessionEngine<G> for PipelinedSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.trees[0].is_terminal(self.trees[0].root()) {
-            return None;
-        }
-        // Pipeline ordering: select from the trees as they stood before the
-        // previous round's results landed, *then* apply those results.
-        let (frontier, host_cost) = select_and_expand_all(
-            &mut self.trees,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &self.pool,
-            &mut self.phases,
-        );
-        self.flush_deferred();
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.deferred = Some((frontier, lanes.to_vec()));
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        self.flush_deferred();
-        report_from_trees(
-            &self.config,
-            &self.trees,
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
+/// The search scheme a session runs (see [`SearchService::admit`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SessionKind {
+    /// One tree, one block per round: each round's selected leaf is
+    /// simulated by one block of lanes (the leaf-parallel engine).
+    Sequential,
+    /// `blocks` independent trees, one block each per round (the
+    /// block-parallel engine).
+    Block {
+        /// Trees (= blocks per round).
+        blocks: u32,
+    },
+    /// One shared tree, `blocks` corrected selections per round
+    /// (DESIGN.md §16).
+    WuUct {
+        /// In-flight batches (= blocks per round).
+        blocks: u32,
+    },
+    /// `blocks` trees with deferred backpropagation: round `k+1` selects
+    /// before round `k`'s results land (DESIGN.md §16).
+    Pipelined {
+        /// Trees (= blocks per round).
+        blocks: u32,
+    },
 }
 
 /// One admitted session's lifecycle record, returned by
@@ -550,160 +191,45 @@ impl<G: Game> SearchService<G> {
         }
     }
 
-    /// Admits a sequential-tree session (one block per round) searching
-    /// `root` under `budget`. The session joins the next round.
-    pub fn admit_sequential(
+    /// Admits a session of `kind` searching `root` under `budget`; it
+    /// joins the next round. With a latency `slo`, wave packing
+    /// ([`Self::step_wave`]) schedules the session by the absolute
+    /// deadline `clock + slo`, ahead of every deadline-free session.
+    ///
+    /// The sessions are the engines of the solo searchers: a `Block`
+    /// session replays [`BlockParallelSearcher`]'s RNG stream, and a
+    /// `Sequential` session is a leaf-parallel engine on one block.
+    ///
+    /// [`BlockParallelSearcher`]: crate::block_parallel::BlockParallelSearcher
+    pub fn admit(
         &mut self,
         root: G,
         budget: SearchBudget,
         config: MctsConfig,
-    ) -> SessionId {
-        self.admit_sequential_with_slo(root, budget, config, None)
-    }
-
-    /// [`Self::admit_sequential`] with a latency SLO: wave packing
-    /// ([`Self::step_wave`]) schedules the session by the absolute deadline
-    /// `clock + slo`, ahead of every deadline-free session.
-    pub fn admit_sequential_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
+        kind: SessionKind,
         slo: Option<SimTime>,
     ) -> SessionId {
-        let engine = SequentialSession {
-            tree: SearchTree::for_config(root, &config),
-            inner: SequentialSearcher::new(config),
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pending: None,
+        let tpb = self.threads_per_block as usize;
+        let engine: Box<dyn SessionEngine<G>> = match kind {
+            SessionKind::Sequential => {
+                let rng = Xoshiro256pp::derive(config.seed, 0);
+                Box::new(LeafSession::new(root, budget, &config, rng, tpb))
+            }
+            SessionKind::Block { blocks } => {
+                let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
+                Box::new(BlockSession::new(root, budget, &config, blocks, rng, tpb))
+            }
+            SessionKind::WuUct { blocks } => {
+                let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
+                Box::new(WuUctSession::new(root, budget, &config, blocks, rng, tpb))
+            }
+            SessionKind::Pipelined { blocks } => {
+                let rng = Xoshiro256pp::derive(config.seed, 0xF1FE);
+                Box::new(PipelinedSession::new(
+                    root, budget, &config, blocks, rng, tpb,
+                ))
+            }
         };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a block-tree session (`blocks` trees, one block each per
-    /// round) searching `root` under `budget`.
-    pub fn admit_block(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_block_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_block`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_block_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "block session needs ≥ 1 tree");
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
-        let engine = BlockSession {
-            trees: (0..blocks)
-                .map(|_| SearchTree::for_config(root, &config))
-                .collect(),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pool: Arc::clone(self.device.worker_pool()),
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
-        };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a WU-UCT session: **one shared tree**, `blocks` corrected
-    /// selections per round (DESIGN.md §16), searching `root` under
-    /// `budget`.
-    pub fn admit_wu_uct(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_wu_uct_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_wu_uct`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_wu_uct_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "WU-UCT session needs ≥ 1 block");
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
-        let engine = WuUctSession {
-            tree: SearchTree::for_config(root, &config),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            blocks: blocks as usize,
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
-        };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a pipelined block-tree session: `blocks` trees with deferred
-    /// backpropagation — round `k+1` selects before round `k`'s results
-    /// land (DESIGN.md §16) — searching `root` under `budget`.
-    pub fn admit_pipelined(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_pipelined_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_pipelined`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_pipelined_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "pipelined session needs ≥ 1 tree");
-        let rng = Xoshiro256pp::derive(config.seed, 0xF1FE);
-        let engine = PipelinedSession {
-            trees: (0..blocks)
-                .map(|_| SearchTree::for_config(root, &config))
-                .collect(),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pool: Arc::clone(self.device.worker_pool()),
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
-            deferred: None,
-        };
-        self.admit(Box::new(engine), slo)
-    }
-
-    fn admit(&mut self, engine: Box<dyn SessionEngine<G>>, slo: Option<SimTime>) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
         self.active.push(Session {
@@ -716,7 +242,7 @@ impl<G: Game> SearchService<G> {
     }
 
     /// Runs one batched round: retires exhausted sessions, collects every
-    /// remaining session's [`PlayoutRequest`] in session-id order, packs
+    /// remaining session's `PlayoutRequest` in session-id order, packs
     /// them into one kernel launch, and completes each session with its
     /// output slice and latency share. Returns `false` when no launch ran
     /// (no session had work left). Equivalent to
@@ -735,23 +261,16 @@ impl<G: Game> SearchService<G> {
     /// when no launch ran.
     pub fn step_wave(&mut self, limit: usize) -> bool {
         assert!(limit >= 1, "a wave admits at least one session");
-        let clock = self.clock;
         // Retire pass, in session-id order (admission order — ids are
         // monotone and `active` is never reordered): budget-exhausted
         // sessions leave before wave packing, including sessions that
         // spent their whole budget waiting.
-        let mut survivors: Vec<Session<G>> = Vec::new();
-        for mut session in std::mem::take(&mut self.active) {
-            if session.engine.wants_more() {
-                survivors.push(session);
-            } else {
-                self.completed.push(CompletedSession {
-                    id: session.id,
-                    admitted_at: session.admitted_at,
-                    completed_at: clock,
-                    report: session.engine.finish(),
-                });
-            }
+        let (mut survivors, exhausted): (Vec<Session<G>>, Vec<Session<G>>) =
+            std::mem::take(&mut self.active)
+                .into_iter()
+                .partition(|session| session.engine.wants_more());
+        for session in exhausted {
+            self.retire(session);
         }
 
         // Wave packing: earliest deadline first, ties (and the
@@ -788,14 +307,9 @@ impl<G: Game> SearchService<G> {
         let mut armed: Vec<(usize, PlayoutRequest<G>)> = Vec::new();
         let mut waiting: Vec<usize> = Vec::new();
         let mut still: Vec<Session<G>> = Vec::new();
-        for (mut session, slot) in survivors.into_iter().zip(slots) {
+        for (session, slot) in survivors.into_iter().zip(slots) {
             match slot {
-                Slot::Retire => self.completed.push(CompletedSession {
-                    id: session.id,
-                    admitted_at: session.admitted_at,
-                    completed_at: clock,
-                    report: session.engine.finish(),
-                }),
+                Slot::Retire => self.retire(session),
                 Slot::Armed(r) => {
                     armed.push((still.len(), r));
                     still.push(session);
@@ -850,18 +364,18 @@ impl<G: Game> SearchService<G> {
         let kernel_phase = stats.launch_overhead + stats.device_time;
         let round_total = total_host + upload_phase + kernel_phase + stats.readback_time;
         for (slot, (i, r)) in armed.iter().enumerate() {
-            let latency = RoundLatency {
-                queue: total_host.saturating_sub(r.host_cost),
-                upload: upload_phase,
-                kernel: kernel_phase,
-                readback: stats.readback_time,
-            };
-            self.active[*i]
-                .engine
-                .complete_round(batched.outputs_for(slot), &latency);
+            let engine = &mut self.active[*i].engine;
+            engine.complete_round(batched.outputs_for(slot), None);
+            let ledger = engine.ledger_mut();
+            ledger.phases.queue += total_host.saturating_sub(r.host_cost);
+            ledger.phases.upload += upload_phase;
+            ledger.phases.kernel += kernel_phase;
+            ledger.phases.readback += stats.readback_time;
+            ledger.phases.kernel_launches += 1;
+            ledger.tracker.charge(round_total);
         }
         for &i in &waiting {
-            self.active[i].engine.charge_wait(round_total);
+            self.active[i].engine.ledger_mut().charge_wait(round_total);
         }
         self.launches.push(LaunchRecord {
             sessions: segments.len() as u32,
@@ -870,6 +384,16 @@ impl<G: Game> SearchService<G> {
         });
         self.clock += round_total;
         true
+    }
+
+    /// Moves `session` to the completed records at the current clock.
+    fn retire(&mut self, mut session: Session<G>) {
+        self.completed.push(CompletedSession {
+            id: session.id,
+            admitted_at: session.admitted_at,
+            completed_at: self.clock,
+            report: session.engine.finish(),
+        });
     }
 
     /// Steps until every admitted session has retired (the final, launch-
@@ -920,10 +444,12 @@ mod tests {
     fn solo_session_completes_within_one_round_of_deadline() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 99);
         let budget = SimTime::from_millis(5);
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(budget),
             cfg(1),
+            SessionKind::Sequential,
+            None,
         );
         svc.run_to_completion();
         let done = svc.take_completed();
@@ -948,10 +474,12 @@ mod tests {
     fn sessions_share_batched_launches() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 7);
         for s in 0..4 {
-            svc.admit_sequential(
+            svc.admit(
                 Reversi::initial(),
                 SearchBudget::Iterations(3),
                 cfg(100 + s),
+                SessionKind::Sequential,
+                None,
             );
         }
         svc.run_to_completion();
@@ -972,8 +500,20 @@ mod tests {
     #[test]
     fn phase_ledger_is_exact_including_queue() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 3);
-        svc.admit_sequential(Reversi::initial(), SearchBudget::Iterations(4), cfg(1));
-        svc.admit_block(Reversi::initial(), SearchBudget::Iterations(2), cfg(2), 3);
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(1),
+            SessionKind::Sequential,
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(2),
+            cfg(2),
+            SessionKind::Block { blocks: 3 },
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 2);
@@ -1000,7 +540,13 @@ mod tests {
             if batched {
                 let mut svc = SearchService::<Reversi>::new(device(), 32, 5);
                 for s in 0..8 {
-                    svc.admit_sequential(Reversi::initial(), budget, cfg(s));
+                    svc.admit(
+                        Reversi::initial(),
+                        budget,
+                        cfg(s),
+                        SessionKind::Sequential,
+                        None,
+                    );
                 }
                 svc.run_to_completion();
                 sims = svc
@@ -1012,7 +558,13 @@ mod tests {
             } else {
                 for s in 0..8 {
                     let mut svc = SearchService::<Reversi>::new(device(), 32, 5);
-                    svc.admit_sequential(Reversi::initial(), budget, cfg(s));
+                    svc.admit(
+                        Reversi::initial(),
+                        budget,
+                        cfg(s),
+                        SessionKind::Sequential,
+                        None,
+                    );
                     svc.run_to_completion();
                     sims += svc.take_completed()[0].report.simulations;
                     time += svc.clock();
@@ -1033,9 +585,27 @@ mod tests {
     #[test]
     fn wu_uct_and_pipelined_sessions_complete_with_exact_ledgers() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 11);
-        svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(4), cfg(1), 4);
-        svc.admit_pipelined(Reversi::initial(), SearchBudget::Iterations(4), cfg(2), 4);
-        svc.admit_block(Reversi::initial(), SearchBudget::Iterations(4), cfg(3), 4);
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(1),
+            SessionKind::WuUct { blocks: 4 },
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(2),
+            SessionKind::Pipelined { blocks: 4 },
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(3),
+            SessionKind::Block { blocks: 4 },
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 3);
@@ -1060,7 +630,13 @@ mod tests {
         // round land in a single tree than any one of a block session's
         // B independent trees receives.
         let mut svc = SearchService::<Reversi>::new(device(), 32, 12);
-        let id = svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(6), cfg(4), 8);
+        let id = svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(6),
+            cfg(4),
+            SessionKind::WuUct { blocks: 8 },
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         let c = done.iter().find(|c| c.id == id).unwrap();
@@ -1072,8 +648,20 @@ mod tests {
     fn new_engines_are_deterministic_per_seed() {
         let run = |seed| {
             let mut svc = SearchService::<Reversi>::new(device(), 32, seed);
-            svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(5), cfg(21), 4);
-            svc.admit_pipelined(Reversi::initial(), SearchBudget::Iterations(5), cfg(22), 4);
+            svc.admit(
+                Reversi::initial(),
+                SearchBudget::Iterations(5),
+                cfg(21),
+                SessionKind::WuUct { blocks: 4 },
+                None,
+            );
+            svc.admit(
+                Reversi::initial(),
+                SearchBudget::Iterations(5),
+                cfg(22),
+                SessionKind::Pipelined { blocks: 4 },
+                None,
+            );
             svc.run_to_completion();
             svc.take_completed()
                 .into_iter()
@@ -1088,7 +676,13 @@ mod tests {
     fn terminal_root_retires_immediately() {
         let s = TicTacToe::parse("XXX OO. ...", pmcts_games::Player::P2).unwrap();
         let mut svc = SearchService::<TicTacToe>::new(device(), 32, 1);
-        svc.admit_sequential(s, SearchBudget::Iterations(10), cfg(1));
+        svc.admit(
+            s,
+            SearchBudget::Iterations(10),
+            cfg(1),
+            SessionKind::Sequential,
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 1);
@@ -1102,7 +696,13 @@ mod tests {
         let run = |seed| {
             let mut svc = SearchService::<Reversi>::new(device(), 32, seed);
             for s in 0..3 {
-                svc.admit_sequential(Reversi::initial(), SearchBudget::Iterations(5), cfg(10 + s));
+                svc.admit(
+                    Reversi::initial(),
+                    SearchBudget::Iterations(5),
+                    cfg(10 + s),
+                    SessionKind::Sequential,
+                    None,
+                );
             }
             svc.run_to_completion();
             svc.take_completed()

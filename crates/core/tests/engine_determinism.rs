@@ -363,9 +363,10 @@ fn report_fingerprint(r: &SearchReport<pmcts_games::ReversiMove>) -> String {
 }
 
 /// [`assert_reports_identical`] plus a pinned fingerprint: the WU-UCT
-/// in-flight bookkeeping must neither see host-thread identity *nor* drift
-/// across future changes (in-flight membership is part of the canonical
-/// schedule now).
+/// in-flight bookkeeping and every scheme's fault ladder must neither see
+/// host-thread identity *nor* drift across future changes. Equality across
+/// thread counts alone would pass a ladder change that is wrong but
+/// deterministic.
 fn assert_identical_and_pinned<F>(what: &str, budget: SearchBudget, pin: &str, mut build: F)
 where
     F: FnMut(usize) -> Box<dyn Searcher<Reversi>>,
@@ -493,13 +494,18 @@ fn bounded_pipelined_identical_across_host_threads() {
 
 #[test]
 fn pipelined_with_faults_identical_across_host_threads() {
-    assert_reports_identical("pipelined+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(68).with_faults(mixed_plan(50)),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "pipelined+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(19))/s868/i8/e11638112/v868/w4645383850795466752",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(68).with_faults(mixed_plan(50)),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -532,48 +538,68 @@ fn mixed_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn leaf_parallel_with_faults_identical_across_host_threads() {
-    assert_reports_identical("leaf+faults", SearchBudget::Iterations(10), |t| {
-        Box::new(LeafParallelSearcher::new(
-            cfg(31).with_faults(mixed_plan(41)),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "leaf+faults",
+        SearchBudget::Iterations(10),
+        "Some(ReversiMove(37))/s544/i10/e13399848/v544/w4642894556470181888",
+        |t| {
+            Box::new(LeafParallelSearcher::new(
+                cfg(31).with_faults(mixed_plan(41)),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 #[test]
 fn block_parallel_with_faults_identical_across_host_threads() {
-    assert_reports_identical("block+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(BlockParallelSearcher::new(
-            cfg(32).with_faults(mixed_plan(42)),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "block+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(26))/s836/i8/e11940570/v836/w4645718102330310656",
+        |t| {
+            Box::new(BlockParallelSearcher::new(
+                cfg(32).with_faults(mixed_plan(42)),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
 fn device_tree_with_faults_identical_across_host_threads() {
     // Exercises the whole degradation ladder (slowdown, block abort, hang
     // dry-run, retry, host block-parallel fallback) under one mixed plan.
-    assert_reports_identical("device-tree+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(DeviceTreeSearcher::new(
-            cfg(54).with_faults(mixed_plan(48)),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "device-tree+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(26))/s1024/i8/e3660166/v1024/w4646791225679020032",
+        |t| {
+            Box::new(DeviceTreeSearcher::new(
+                cfg(54).with_faults(mixed_plan(48)),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
 fn hybrid_with_faults_identical_across_host_threads() {
-    assert_reports_identical("hybrid+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(33).with_faults(mixed_plan(43)),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "hybrid+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(19))/s454/i8/e9770852/v454/w4642208461214449664",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(33).with_faults(mixed_plan(43)),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -700,21 +726,31 @@ fn service_transcript(
 )> {
     let mut svc = SearchService::<Reversi>::new(device(threads), 32, 77);
     for s in 0..4u64 {
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(SimTime::from_millis(3)),
             cfg(50 + s),
+            SessionKind::Sequential,
+            None,
         );
     }
-    svc.admit_block(Reversi::initial(), SearchBudget::Iterations(4), cfg(60), 2);
+    svc.admit(
+        Reversi::initial(),
+        SearchBudget::Iterations(4),
+        cfg(60),
+        SessionKind::Block { blocks: 2 },
+        None,
+    );
     for _ in 0..2 {
         assert!(svc.step());
     }
     // Late admission: joins the batch from the next round on.
-    svc.admit_sequential(
+    svc.admit(
         Reversi::initial(),
         SearchBudget::VirtualTime(SimTime::from_millis(2)),
         cfg(61),
+        SessionKind::Sequential,
+        None,
     );
     svc.run_to_completion();
     svc.take_completed()
@@ -745,20 +781,24 @@ fn late_admitted_session_still_meets_deadline_under_full_batch() {
     // starve it.
     let mut svc = SearchService::<Reversi>::new(device(2), 32, 9);
     for s in 0..15u64 {
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(SimTime::from_millis(40)),
             cfg(70 + s),
+            SessionKind::Sequential,
+            None,
         );
     }
     for _ in 0..3 {
         assert!(svc.step());
     }
     let budget = SimTime::from_millis(5);
-    let late = svc.admit_sequential(
+    let late = svc.admit(
         Reversi::initial(),
         SearchBudget::VirtualTime(budget),
         cfg(99),
+        SessionKind::Sequential,
+        None,
     );
     let mut late_done = None;
     while late_done.is_none() {

@@ -160,54 +160,168 @@ fn none_plan_reports_zero_fault_counters() {
 // 2. Each fault class fires and is accounted exactly.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn slowdown_inflates_time_but_not_results() {
-    let clean = leaf_run(FaultPlan::none());
-    let slow = leaf_run(FaultPlan::gpu_slowdown(7, 1.0, 4));
-    // The kernel still executed with identical randomness: same statistics.
-    assert_eq!(slow.root_stats, clean.root_stats);
-    assert_eq!(slow.best_move, clean.best_move);
-    assert_eq!(slow.simulations, clean.simulations);
-    // Only virtual time grew, and every launch was flagged.
-    assert!(slow.elapsed > clean.elapsed);
-    assert_eq!(slow.phases.faults.injected, slow.iterations);
-    assert_eq!(slow.phases.faults.retried, 0);
-    assert_eq!(slow.phases.faults.degraded, 0);
-    assert_healthy(&slow);
+/// A searcher under test for the shared fault ladder.
+type Build = fn(FaultPlan) -> Box<dyn Searcher<Reversi>>;
+
+/// Every scheme whose launches go through the shared hang → retry-once →
+/// CPU-degrade ladder, with the CPU playouts one degraded round runs.
+/// `device_tree` reaches it through its host fallback: its persistent
+/// launch hangs twice (one retry, one `degraded` for abandoning the
+/// device), then host block-parallel rounds take over.
+fn ladder_schemes() -> [(&'static str, Build, u64); 5] {
+    [
+        (
+            "leaf",
+            |f| {
+                Box::new(LeafParallelSearcher::new(
+                    cfg(121).with_faults(f),
+                    device(),
+                    LaunchConfig::new(2, 32),
+                ))
+            },
+            1,
+        ),
+        (
+            "block",
+            |f| {
+                Box::new(BlockParallelSearcher::new(
+                    cfg(122).with_faults(f),
+                    device(),
+                    LaunchConfig::new(4, 32),
+                ))
+            },
+            4,
+        ),
+        (
+            "wu_uct",
+            |f| {
+                Box::new(WuUctSearcher::new(
+                    cfg(123).with_faults(f),
+                    device(),
+                    LaunchConfig::new(4, 32),
+                ))
+            },
+            4,
+        ),
+        (
+            "pipelined",
+            |f| {
+                Box::new(PipelinedSearcher::new(
+                    cfg(124).with_faults(f),
+                    device(),
+                    LaunchConfig::new(4, 32),
+                ))
+            },
+            4,
+        ),
+        (
+            "device_tree",
+            |f| {
+                Box::new(DeviceTreeSearcher::new(
+                    cfg(125).with_faults(f),
+                    device(),
+                    LaunchConfig::new(4, 32),
+                ))
+            },
+            4,
+        ),
+    ]
 }
 
 #[test]
-fn leaf_hang_retries_once_then_degrades_to_cpu() {
-    let r = leaf_run(FaultPlan::gpu_hang(8, 1.0));
-    // Every iteration: hang, retry, hang again, one CPU playout.
-    assert_eq!(r.phases.faults.injected, 2 * r.iterations);
-    assert_eq!(r.phases.faults.retried, r.iterations);
-    assert_eq!(r.phases.faults.degraded, r.iterations);
-    assert_eq!(r.simulations, r.iterations, "one CPU playout per iteration");
-    assert_healthy(&r);
-}
-
-#[test]
-fn block_hang_degrades_every_tree() {
-    let r = block_run(FaultPlan::gpu_hang(9, 1.0));
-    // 4 trees per iteration, one CPU playout each after the double hang.
-    assert_eq!(r.phases.faults.retried, r.iterations);
-    assert_eq!(r.phases.faults.degraded, 4 * r.iterations);
-    assert_eq!(r.simulations, 4 * r.iterations);
-    assert_healthy(&r);
+fn hang_retries_once_then_degrades_every_block() {
+    for (name, build, per_round) in ladder_schemes() {
+        let r = build(FaultPlan::gpu_hang(9, 1.0))
+            .search(Reversi::initial(), SearchBudget::Iterations(5));
+        // Every round: hang, retry, hang again, one CPU playout per block.
+        let device_retry = u64::from(name == "device_tree");
+        assert_eq!(r.iterations, 5, "{name}");
+        assert_eq!(
+            r.phases.faults.injected,
+            2 * (r.iterations + device_retry),
+            "{name}"
+        );
+        assert_eq!(
+            r.phases.faults.retried,
+            r.iterations + device_retry,
+            "{name}"
+        );
+        assert_eq!(
+            r.phases.faults.degraded,
+            per_round * r.iterations + device_retry,
+            "{name}"
+        );
+        assert_eq!(
+            r.simulations,
+            per_round * r.iterations,
+            "{name}: CPU playouts only"
+        );
+        assert_eq!(r.phases.kernel_launches, 0, "{name}: no launch completed");
+        assert_healthy(&r);
+    }
 }
 
 #[test]
 fn block_abort_voids_exactly_one_block() {
-    let clean = block_run(FaultPlan::none());
-    let r = block_run(FaultPlan::gpu_abort(10, 1.0));
-    // One of 4 blocks voided per launch: 3/4 of the clean simulations.
-    assert_eq!(r.simulations, clean.simulations / 4 * 3);
-    assert_eq!(r.phases.faults.injected, r.iterations);
-    assert_eq!(r.phases.faults.degraded, r.iterations);
-    let visits: u64 = r.root_stats.iter().map(|s| s.visits).sum();
-    assert_eq!(visits, r.simulations, "voided lanes never reach the trees");
-    assert_healthy(&r);
+    for (name, build, _) in ladder_schemes() {
+        let budget = SearchBudget::Iterations(5);
+        let clean = build(FaultPlan::none()).search(Reversi::initial(), budget);
+        let r = build(FaultPlan::gpu_abort(10, 1.0)).search(Reversi::initial(), budget);
+        // One block of every launch is voided: its lanes simulate for
+        // nothing, the other blocks land as in the clean run.
+        let blocks = if name == "leaf" { 2 } else { 4 };
+        assert_eq!(
+            r.simulations,
+            clean.simulations / blocks * (blocks - 1),
+            "{name}"
+        );
+        assert_eq!(r.phases.faults.injected, r.phases.kernel_launches, "{name}");
+        assert_eq!(r.phases.faults.degraded, r.phases.kernel_launches, "{name}");
+        assert_eq!(r.phases.faults.retried, 0, "{name}");
+        let visits: u64 = r.root_stats.iter().map(|s| s.visits).sum();
+        assert_eq!(
+            visits, r.simulations,
+            "{name}: voided lanes never reach the trees"
+        );
+        assert_healthy(&r);
+    }
+}
+
+#[test]
+fn slowdown_stretches_time_only_every_scheme() {
+    for (name, build, _) in ladder_schemes() {
+        let budget = SearchBudget::Iterations(5);
+        let clean = build(FaultPlan::none()).search(Reversi::initial(), budget);
+        let slow = build(FaultPlan::gpu_slowdown(7, 1.0, 4)).search(Reversi::initial(), budget);
+        assert_eq!(slow.root_stats, clean.root_stats, "{name}: same statistics");
+        assert_eq!(slow.simulations, clean.simulations, "{name}");
+        assert!(slow.elapsed > clean.elapsed, "{name}: only time grows");
+        assert_eq!(
+            slow.phases.faults.injected, slow.phases.kernel_launches,
+            "{name}"
+        );
+        assert_eq!(slow.phases.faults.retried, 0, "{name}");
+        assert_eq!(slow.phases.faults.degraded, 0, "{name}");
+        assert_healthy(&slow);
+    }
+}
+
+#[test]
+fn wu_uct_fault_paths_leave_no_inflight_residue() {
+    for plan in [
+        FaultPlan::gpu_hang(9, 1.0),
+        FaultPlan::gpu_abort(10, 1.0),
+        FaultPlan::gpu_slowdown(7, 1.0, 4),
+    ] {
+        let (r, tree) = WuUctSearcher::<Reversi>::new(
+            cfg(123).with_faults(plan),
+            device(),
+            LaunchConfig::new(4, 32),
+        )
+        .search_with_tree(Reversi::initial(), SearchBudget::Iterations(5));
+        assert!(r.phases.faults.injected > 0, "plan must fire");
+        assert_eq!(tree.inflight_total(), 0, "fault path leaked O counts");
+    }
 }
 
 #[test]

@@ -77,6 +77,13 @@ impl<O: Send + 'static> PendingLaunch<O> {
     /// # Panics
     /// Re-raises the kernel's panic if it panicked.
     pub fn wait(self) -> LaunchResult<O> {
+        // Wakeup argument: the worker stores the result while holding the
+        // `result` mutex and notifies `done` after storing it. This loop
+        // checks for the result under that mutex, and `wait` releases the
+        // mutex atomically. So the store either happens before the check
+        // (no wait) or finds this thread already waiting on `done`. The
+        // job always runs: the pool drains its queue before its workers
+        // exit.
         let mut guard = self.slot.result.lock().expect("async slot poisoned");
         while guard.is_none() {
             guard = self.slot.done.wait(guard).expect("async slot poisoned");

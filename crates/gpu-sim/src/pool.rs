@@ -171,6 +171,11 @@ impl WorkerPool {
             before - queue.len()
         };
         {
+            // Wakeup argument: a worker decrements `pending` and notifies
+            // `done` while holding the `pending` mutex, and this loop
+            // re-checks the count under that mutex before every wait. The
+            // last decrement therefore either happens before the check
+            // (the loop exits) or finds this thread already waiting.
             let mut pending = scope.pending.lock().expect("scope state poisoned");
             *pending -= cancelled;
             while *pending > 0 {
@@ -255,7 +260,16 @@ impl<T> SendSlice<T> {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Store `shutdown` while holding the queue mutex. A worker checks
+        // the flag and goes to sleep on `available` under that same mutex,
+        // so it either sees the flag or is already waiting when
+        // `notify_all` fires. Storing without the lock loses the wakeup:
+        // a worker can read `false`, then `wait` after the notification,
+        // sleep forever and hang `join` below.
+        {
+            let _queue = self.shared.queue.lock().expect("pool queue poisoned");
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
