@@ -49,11 +49,6 @@ use pmcts_gpu_sim::{
 };
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
 
-/// Plies below an old root scanned when re-rooting resident trees
-/// (same rationale as `PersistentSearcher`: move + reply + one forced
-/// pass on each side).
-const REROOT_DEPTH: u32 = 4;
-
 /// Upper bound on rounds planned into a single persistent launch under a
 /// `VirtualTime` budget (keeps hang dry-runs and round cost distribution
 /// bounded; iteration budgets run in one launch regardless).
@@ -66,7 +61,6 @@ pub struct DeviceTreeSearcher<G: Game> {
     config: MctsConfig,
     /// Launch epochs, faults and the host fallback's rounds.
     driver: WaveDriver,
-    tree_spec: DeviceTreeSpec,
     /// Host RNG, used only by the hang-degradation fallback (expansion
     /// picks + degraded CPU playouts), mirroring the block-parallel
     /// stream so the fallback is the same machine.
@@ -93,22 +87,11 @@ impl<G: Game> DeviceTreeSearcher<G> {
     /// Creates a device-resident tree searcher with `launch.blocks` trees
     /// and `launch.threads_per_block` iterations per tree per round.
     pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        Self::with_stream(config, device, launch, 0)
-    }
-
-    /// Like [`new`](Self::new) but on RNG sub-stream `stream`.
-    pub fn with_stream(
-        config: MctsConfig,
-        device: Device,
-        launch: LaunchConfig,
-        stream: u64,
-    ) -> Self {
         launch.validate(device.spec());
         DeviceTreeSearcher {
-            rng: Xoshiro256pp::derive(config.seed, 0xDE1C ^ stream),
-            driver: WaveDriver::new(&config, device, launch, stream),
+            rng: Xoshiro256pp::derive(config.seed, 0xDE1C),
+            driver: WaveDriver::new(&config, device, launch, 0),
             config,
-            tree_spec: DeviceTreeSpec::c2050_resident(),
             resident: None,
         }
     }
@@ -116,12 +99,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
     /// Number of resident trees (= blocks).
     pub fn trees(&self) -> u32 {
         self.driver.launch_config().blocks
-    }
-
-    /// Overrides the in-kernel cost constants (tests and ablations).
-    pub fn with_tree_spec(mut self, spec: DeviceTreeSpec) -> Self {
-        self.tree_spec = spec;
-        self
     }
 
     /// Drops the resident trees (e.g. when starting a new game).
@@ -137,10 +114,7 @@ impl<G: Game> DeviceTreeSearcher<G> {
         let trees: Vec<SearchTree<G>> = match self.resident.take() {
             Some(old) if old.len() == blocks => old
                 .into_iter()
-                .map(|t| match t.find_state(&root, REROOT_DEPTH) {
-                    Some(id) => t.extract_subtree(id),
-                    None => SearchTree::for_config(root, &self.config),
-                })
+                .map(|t| t.reroot(root, &self.config))
                 .collect(),
             _ => (0..blocks)
                 .map(|_| SearchTree::for_config(root, &self.config))
@@ -232,7 +206,6 @@ fn run_rounds<G: Game>(
     allocs: &mut [DeviceAllocator],
     pool: &WorkerPool,
     launch: LaunchConfig,
-    tree_spec: &DeviceTreeSpec,
     device: &Device,
     rounds: u64,
     seed: u64,
@@ -282,13 +255,14 @@ fn run_rounds<G: Game>(
         lanes.push(run.per_lane);
     }
 
+    let tree_spec = DeviceTreeSpec::c2050_resident();
     let readback_bytes: u64 = trees
         .iter()
         .map(|t| t.children(t.root()).len() as u64)
         .sum::<u64>()
         * tree_spec.root_stat_bytes;
     let trace = TreeLaunchTrace::from_lanes(launch.threads_per_block, lanes);
-    let stats = trace.finish(tree_spec, device.spec(), &launch, readback_bytes);
+    let stats = trace.finish(&tree_spec, device.spec(), &launch, readback_bytes);
     (stats, sims, expansions)
 }
 
@@ -328,7 +302,6 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                     &mut dry_allocs,
                     &pool,
                     launch,
-                    &self.tree_spec,
                     &device,
                     rounds,
                     seed,
@@ -378,7 +351,6 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 &mut allocs,
                 &pool,
                 launch,
-                &self.tree_spec,
                 &device,
                 rounds,
                 seed,
@@ -513,19 +485,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed_and_stream() {
-        let run = |seed, stream| {
-            DeviceTreeSearcher::<Reversi>::with_stream(
-                cfg(seed),
-                device(),
-                LaunchConfig::new(4, 32),
-                stream,
-            )
-            .search(Reversi::initial(), SearchBudget::Iterations(4))
+    fn deterministic_per_seed() {
+        let run = |seed| {
+            DeviceTreeSearcher::<Reversi>::new(cfg(seed), device(), LaunchConfig::new(4, 32))
+                .search(Reversi::initial(), SearchBudget::Iterations(4))
         };
-        assert_eq!(run(3, 0), run(3, 0));
-        assert_ne!(run(3, 0).root_stats, run(3, 1).root_stats);
-        assert_ne!(run(3, 0).root_stats, run(4, 0).root_stats);
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(3).root_stats, run(4).root_stats);
     }
 
     #[test]

@@ -35,20 +35,9 @@ pub struct LeafParallelSearcher<G: Game> {
 impl<G: Game> LeafParallelSearcher<G> {
     /// Creates a leaf-parallel searcher launching `launch` on `device`.
     pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        Self::with_stream(config, device, launch, 0)
-    }
-
-    /// Like [`new`](Self::new) but drawing randomness from sub-stream
-    /// `stream` of the seed (for multi-searcher experiments).
-    pub fn with_stream(
-        config: MctsConfig,
-        device: Device,
-        launch: LaunchConfig,
-        stream: u64,
-    ) -> Self {
         LeafParallelSearcher {
-            rng: Xoshiro256pp::derive(config.seed, 0x1EAF ^ stream),
-            driver: WaveDriver::new(&config, device, launch, stream)
+            rng: Xoshiro256pp::derive(config.seed, 0x1EAF),
+            driver: WaveDriver::new(&config, device, launch, 0)
                 .with_epoch_mul(0xD134_2543_DE82_EF95),
             config,
             _game: std::marker::PhantomData,

@@ -60,19 +60,9 @@ impl<G: Game> PipelinedSearcher<G> {
     /// Creates a pipelined searcher with `launch.blocks` trees and
     /// `launch.threads_per_block` simulations per tree per wave.
     pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        Self::with_stream(config, device, launch, 0)
-    }
-
-    /// Like [`new`](Self::new) but on RNG sub-stream `stream`.
-    pub fn with_stream(
-        config: MctsConfig,
-        device: Device,
-        launch: LaunchConfig,
-        stream: u64,
-    ) -> Self {
         PipelinedSearcher {
-            rng: Xoshiro256pp::derive(config.seed, 0xF1FE ^ stream),
-            driver: WaveDriver::new(&config, device, launch, stream),
+            rng: Xoshiro256pp::derive(config.seed, 0xF1FE),
+            driver: WaveDriver::new(&config, device, launch, 0),
             config,
             _game: std::marker::PhantomData,
         }

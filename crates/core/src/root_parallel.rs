@@ -9,14 +9,21 @@
 //!
 //! Budget semantics are wall-clock-like: every thread receives the full
 //! virtual budget, because the real threads run concurrently.
+//!
+//! This module also holds the cluster-scale form of the same merge:
+//! `search_ranks`, the one MPI rank driver behind
+//! [`MultiGpuSearcher`](crate::multi_gpu::MultiGpuSearcher) and
+//! [`MultiNodeCpuSearcher`](crate::multi_node_cpu::MultiNodeCpuSearcher).
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{empty_report, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
-use crate::telemetry::{critical_index, PhaseBreakdown};
-use crate::tree::{best_from_stats, merge_root_stats};
+use crate::telemetry::PhaseBreakdown;
+use crate::tree::{best_from_stats, merge_root_stats, RootStat};
 use pmcts_games::Game;
 use pmcts_gpu_sim::WorkerPool;
+use pmcts_mpi_sim::{NetworkModel, World};
+use pmcts_util::{FaultCounters, FaultPlan, SimTime};
 use std::sync::Arc;
 
 /// Root-parallel CPU searcher: `n` independent trees, one per simulated
@@ -45,28 +52,16 @@ impl<G: Game> RootParallelSearcher<G> {
     /// Creates a root-parallel searcher over `threads` simulated CPU
     /// threads (= trees).
     pub fn new(config: MctsConfig, threads: usize) -> Self {
-        Self::with_stream(config, threads, 0)
-    }
-
-    /// Like [`new`](Self::new) with an explicit RNG stream base.
-    pub fn with_stream(config: MctsConfig, threads: usize, stream_base: u64) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(threads.max(1));
-        Self::with_stream_on(
-            config,
-            threads,
-            stream_base,
-            Arc::new(WorkerPool::new(workers)),
-        )
+        Self::with_stream_on(config, threads, 0, Arc::new(WorkerPool::new(workers)))
     }
 
-    /// Like [`with_stream`](Self::with_stream), but runs the trees on an
-    /// existing shared pool instead of spawning an owned one — no thread
-    /// creation at construction time. Virtual timing and results are
-    /// unaffected by the pool choice.
-    pub fn with_stream_on(
+    /// Like [`new`](Self::new), with RNG stream base `stream_base` and the
+    /// trees run on an existing `pool` (no thread creation).
+    pub(crate) fn with_stream_on(
         config: MctsConfig,
         threads: usize,
         stream_base: u64,
@@ -96,20 +91,14 @@ impl<G: Game> RootParallelSearcher<G> {
         self.pool = pool;
         self
     }
-
-    /// Number of simulated CPU threads / trees.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        let config = self.config.clone();
+        let config = &self.config;
         let gen = self.generation;
         let base = self.stream_base;
-        let trees = self.threads;
 
         // Each tree is an independent sequential search with its own RNG
         // stream; trees are distributed over the persistent worker pool and
@@ -121,16 +110,19 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
         // survivor always exists.
         let plan = config.faults;
         let fault_key = base ^ gen.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut slots: Vec<()> = vec![(); trees];
-        let reports: Vec<SearchReport<G::Move>> = self.pool.map_indexed(&mut slots, |i, ()| {
+        let mut slots = vec![(); self.threads];
+        let reports = self.pool.map_indexed(&mut slots, |i, ()| {
             if plan.component_dead(fault_key, i as u64) {
-                return empty_report();
+                // A dead tree searches nothing and is excluded from the merge.
+                let mut dead = empty_report();
+                dead.phases.faults.injected = 1;
+                dead.phases.faults.excluded = 1;
+                return dead;
             }
             let stream = base
                 .wrapping_add(i as u64)
                 .wrapping_add(gen.wrapping_mul(0x1000 * 31));
-            let mut s = SequentialSearcher::<G>::with_stream(config.clone(), stream);
-            s.search(root, budget)
+            SequentialSearcher::<G>::with_stream(config.clone(), stream).search(root, budget)
         });
 
         let merged = merge_root_stats(
@@ -139,42 +131,117 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
                 .map(|r| r.root_stats.clone())
                 .collect::<Vec<_>>(),
         );
-        // Threads run concurrently: elapsed = the slowest tree, and the
-        // phase times are that critical tree's (so they still sum to
-        // elapsed exactly); work counters are summed over all trees.
-        let mut phases = PhaseBreakdown::new();
-        for r in &reports {
-            phases.absorb_counters(&r.phases);
-        }
-        // Count dead trees by re-querying the pure plan (no search state).
-        for i in 0..trees as u64 {
-            if plan.component_dead(fault_key, i) {
-                phases.faults.injected += 1;
-                phases.faults.excluded += 1;
-            }
-        }
-        let crit = critical_index(reports.iter().map(|r| r.elapsed));
-        if let Some(i) = crit {
-            phases.adopt_times(&reports[i].phases);
-        }
-        let elapsed = crit
-            .map(|i| reports[i].elapsed)
-            .unwrap_or(pmcts_util::SimTime::ZERO);
-        phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);
-        SearchReport {
-            best_move: best_from_stats(&merged, config.final_move),
-            simulations: reports.iter().map(|r| r.simulations).sum(),
-            iterations: reports.iter().map(|r| r.iterations).sum(),
-            tree_nodes: reports.iter().map(|r| r.tree_nodes).sum(),
-            max_depth: reports.iter().map(|r| r.max_depth).max().unwrap_or(0),
-            elapsed,
-            root_stats: merged,
-            phases,
-        }
+        merge_reports(&reports, merged, config, budget, SimTime::ZERO)
     }
 
     fn name(&self) -> String {
         format!("root parallelism ({} CPU threads)", self.threads)
+    }
+}
+
+/// The root merge of concurrent component reports (trees or MPI ranks)
+/// over their merged root statistics: work counters are summed, the
+/// deepest tree is kept, and times fold along the critical component
+/// ([`PhaseBreakdown::fold_concurrent`]) plus `merge_cost`.
+fn merge_reports<M: Copy>(
+    reports: &[SearchReport<M>],
+    root_stats: Vec<RootStat<M>>,
+    config: &MctsConfig,
+    budget: SearchBudget,
+    merge_cost: SimTime,
+) -> SearchReport<M> {
+    let (elapsed, phases) = PhaseBreakdown::fold_concurrent(
+        reports.iter().map(|r| (r.elapsed, &r.phases)),
+        merge_cost,
+        budget,
+    );
+    SearchReport {
+        best_move: best_from_stats(&root_stats, config.final_move),
+        simulations: reports.iter().map(|r| r.simulations).sum(),
+        iterations: reports.iter().map(|r| r.iterations).sum(),
+        tree_nodes: reports.iter().map(|r| r.tree_nodes).sum(),
+        max_depth: reports.iter().map(|r| r.max_depth).max().unwrap_or(0),
+        elapsed,
+        root_stats,
+        phases,
+    }
+}
+
+/// The rank driver of root parallelism across simulated MPI ranks
+/// (multi-GPU and multi-node CPU): every live rank runs
+/// `search_rank(rank)`, the surviving ranks' root statistics are merged
+/// with one sparse allreduce, and the rank reports fold through
+/// [`merge_reports`] with the allreduce charged to `merge`.
+///
+/// Faults are keyed by `gen`. A dead rank produces an empty report; it
+/// still joins the collective (via the sparse allreduce) so nothing can
+/// hang. A live rank may have its contribution dropped by the network: it
+/// searched, but its statistics are excluded from the merge. Either is
+/// one injected + one excluded fault. Rank 0 is never dead and never
+/// dropped, so a merge always exists.
+pub(crate) fn search_ranks<M, F>(
+    config: &MctsConfig,
+    ranks: usize,
+    network: NetworkModel,
+    gen: u64,
+    budget: SearchBudget,
+    search_rank: F,
+) -> SearchReport<M>
+where
+    M: Copy + Eq + Send + 'static,
+    F: Fn(u64) -> SearchReport<M> + Sync,
+{
+    let plan = config.faults;
+    let per_rank = World::run(ranks, |comm| {
+        let rank = comm.rank() as u64;
+        let dead = plan.component_dead(gen, rank);
+        let mut report = if dead {
+            empty_report()
+        } else {
+            search_rank(rank)
+        };
+        let lost = dead || plan.drops_contribution(gen, rank);
+        let contribution = (!lost).then(|| report.root_stats.clone());
+        report.phases.faults.injected += u64::from(lost);
+        report.phases.faults.excluded += u64::from(lost);
+        let merged = comm.allreduce_sparse(contribution, |a, b| merge_root_stats(&[a, b]));
+        (report, merged, lost)
+    });
+
+    let merged = per_rank[0].1.clone().unwrap_or_default();
+    // Every rank must agree after the allreduce.
+    debug_assert!(per_rank
+        .iter()
+        .all(|(_, m, _)| m.as_deref() == Some(&merged[..])));
+    let failed = per_rank.iter().any(|&(_, _, lost)| lost);
+    let stats_bytes = (merged.len() * std::mem::size_of::<RootStat<M>>()) as u64;
+    let base = network.allreduce_time(stats_bytes, ranks);
+    let mut faults = FaultCounters::default();
+    let cost = rank_merge_cost(&plan, gen, failed, base, &mut faults);
+    let reports: Vec<_> = per_rank.into_iter().map(|(r, _, _)| r).collect();
+    let mut report = merge_reports(&reports, merged, config, budget, cost);
+    report.phases.faults.absorb(&faults);
+    report
+}
+
+/// Prices one cross-rank statistics merge: the detection *timeout* when
+/// any rank `failed`, a delay-spiked allreduce (one more injected fault)
+/// when the network schedule says so, `base` otherwise. Under
+/// [`FaultPlan::none`] this is exactly `base`.
+fn rank_merge_cost(
+    plan: &FaultPlan,
+    key: u64,
+    failed: bool,
+    base: SimTime,
+    faults: &mut FaultCounters,
+) -> SimTime {
+    match plan.net_delay_spike(key, 0) {
+        _ if failed => plan.net_timeout(base),
+        Some(factor) => {
+            faults.injected += 1;
+            base * factor as u64
+        }
+        None => base,
     }
 }
 

@@ -40,8 +40,10 @@
 //! to the nanosecond. Consumers must not treat a zero phase as "missing":
 //! the identity is over all seven phases, zeros included.
 
+use crate::config::SearchBudget;
+use crate::searcher::overshoot_of;
 use pmcts_gpu_sim::KernelStats;
-use pmcts_util::{FaultCounters, FaultPlan, SimTime};
+use pmcts_util::{FaultCounters, SimTime};
 
 /// Exact per-phase decomposition of one search's virtual time, plus
 /// work counters and folded kernel statistics.
@@ -200,7 +202,7 @@ impl PhaseBreakdown {
 
     /// Copies `other`'s phase *times* into `self` (critical-path component
     /// selection); counters are untouched.
-    pub fn adopt_times(&mut self, other: &PhaseBreakdown) {
+    fn adopt_times(&mut self, other: &PhaseBreakdown) {
         self.select = other.select;
         self.expand = other.expand;
         self.queue = other.queue;
@@ -209,45 +211,41 @@ impl PhaseBreakdown {
         self.readback = other.readback;
         self.merge = other.merge;
     }
-}
 
-/// Host-side fault accounting for one cross-rank statistics merge.
-///
-/// Re-queries the pure fault plan to count dead and contribution-dropping
-/// ranks (each is one injected + one excluded fault), then prices the
-/// allreduce: the detection *timeout* when any rank failed, a delay-spiked
-/// cost when the network schedule says so, the base cost otherwise. Under
-/// [`FaultPlan::none`] this returns exactly `base()` and touches nothing.
-pub(crate) fn rank_merge_cost(
-    plan: &FaultPlan,
-    phases: &mut PhaseBreakdown,
-    key: u64,
-    ranks: usize,
-    base: impl FnOnce() -> SimTime,
-) -> SimTime {
-    let mut failed = false;
-    for rank in 0..ranks as u64 {
-        if plan.component_dead(key, rank) || plan.drops_contribution(key, rank) {
-            phases.faults.injected += 1;
-            phases.faults.excluded += 1;
-            failed = true;
+    /// The root-parallel merge of concurrent components (trees, CPU
+    /// workers, MPI ranks), each given as `(elapsed, phases)`.
+    ///
+    /// Counters are summed over every component in order; the phase times
+    /// and `elapsed` are the critical component's. `merge_cost` (the
+    /// cross-rank allreduce, zero for in-process merges) is added to the
+    /// `merge` phase and to `elapsed`, so the phases still sum to the
+    /// returned `elapsed`, and `budget_overshoot` is recomputed from it.
+    pub(crate) fn fold_concurrent<'a>(
+        components: impl IntoIterator<Item = (SimTime, &'a PhaseBreakdown)>,
+        merge_cost: SimTime,
+        budget: SearchBudget,
+    ) -> (SimTime, PhaseBreakdown) {
+        let components: Vec<_> = components.into_iter().collect();
+        let mut phases = PhaseBreakdown::new();
+        for (_, p) in &components {
+            phases.absorb_counters(p);
         }
-    }
-    let base = base();
-    if failed {
-        plan.net_timeout(base)
-    } else if let Some(factor) = plan.net_delay_spike(key, 0) {
-        phases.faults.injected += 1;
-        base * factor as u64
-    } else {
-        base
+        let mut elapsed = SimTime::ZERO;
+        if let Some(i) = critical_index(components.iter().map(|&(t, _)| t)) {
+            phases.adopt_times(components[i].1);
+            elapsed = components[i].0;
+        }
+        phases.merge += merge_cost;
+        elapsed += merge_cost;
+        phases.budget_overshoot = overshoot_of(budget, elapsed);
+        (elapsed, phases)
     }
 }
 
 /// Index of the critical-path component: the slowest element, first index
 /// on ties, so the choice is deterministic and independent of thread
 /// timing.
-pub fn critical_index(elapsed: impl IntoIterator<Item = SimTime>) -> Option<usize> {
+fn critical_index(elapsed: impl IntoIterator<Item = SimTime>) -> Option<usize> {
     let mut best: Option<(usize, SimTime)> = None;
     for (i, t) in elapsed.into_iter().enumerate() {
         match best {

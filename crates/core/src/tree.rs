@@ -37,6 +37,14 @@ use pmcts_util::Rng64;
 /// Index of a node within its [`SearchTree`]. The root is always 0.
 pub type NodeId = u32;
 
+/// Plies below an old root scanned when re-rooting a kept tree
+/// ([`SearchTree::reroot`]). 2 would cover a plain move + reply, but
+/// Reversi passes can push the reached position deeper; 4 additionally
+/// absorbs one forced pass on each side. A position even further down (a
+/// longer pass chain) deliberately falls back to a cold tree rather than
+/// risking a wrong re-root.
+pub(crate) const REROOT_DEPTH: u32 = 4;
+
 /// Sentinel for "no parent" in the dense parent array.
 const NO_NODE: NodeId = NodeId::MAX;
 
@@ -933,6 +941,18 @@ impl<G: Game> SearchTree<G> {
             }
         }
         out
+    }
+
+    /// Tree reuse between moves: the compacting copy of the subtree at
+    /// `root` if that position lies within [`REROOT_DEPTH`] plies of this
+    /// tree's root, else a cold tree for `config`. A cold tree's root has
+    /// no visits, so `visits(root())` of the result is what was reused.
+    /// Consumes the old tree so it is freed before the next one is copied.
+    pub(crate) fn reroot(self, root: G, config: &MctsConfig) -> SearchTree<G> {
+        match self.find_state(&root, REROOT_DEPTH) {
+            Some(id) => self.extract_subtree(id),
+            None => SearchTree::for_config(root, config),
+        }
     }
 
     /// Finds the most-visited node whose state equals `state`, searching at

@@ -15,13 +15,12 @@
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{SearchReport, Searcher};
-use crate::telemetry::{critical_index, PhaseBreakdown};
-use crate::tree::SearchTree;
-use crate::ucb::ucb1;
-use parking_lot::Mutex;
+use crate::telemetry::PhaseBreakdown;
+use crate::tree::{NodeId, SearchTree};
 use pmcts_games::{random_playout, Game, Player};
-use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
+use pmcts_util::{SimTime, Xoshiro256pp};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Shared-tree CPU searcher with virtual loss.
 #[derive(Clone, Debug)]
@@ -54,57 +53,73 @@ impl<G: Game> TreeParallelSearcher<G> {
         self
     }
 
-    /// Selection + expansion + virtual-loss application under the lock;
-    /// returns the node to simulate, its path to the root, and whether a
-    /// new node was expanded.
-    fn select_and_mark<R: Rng64>(
-        tree: &mut SearchTree<G>,
-        c: f64,
-        vl: u64,
-        rng: &mut R,
-    ) -> (u32, Vec<u32>, bool) {
-        // Selection (same rule as SearchTree::select, inlined because we
-        // collect the path for the virtual loss).
-        let mut id = tree.root();
-        let mut path = vec![id];
+    /// One worker's loop over the shared tree until the budget is spent;
+    /// returns the worker's virtual elapsed time and phase breakdown.
+    fn worker(
+        &self,
+        tree: &Mutex<SearchTree<G>>,
+        claimed: &AtomicU64,
+        w: usize,
+        budget: SearchBudget,
+    ) -> (SimTime, PhaseBreakdown) {
+        let config = &self.config;
+        let vl = self.virtual_loss;
+        let mut rng =
+            Xoshiro256pp::derive(config.seed, 0x7EEE ^ (w as u64) ^ (self.generation << 32));
+        let cpu = config.cpu_cost;
+        let mut elapsed = SimTime::ZERO;
+        let mut mine = PhaseBreakdown::new();
         loop {
-            let children = tree.children(id);
-            if !tree.fully_expanded(id) || children.is_empty() {
+            // An iteration budget is shared: each worker claims slots from
+            // one counter, so exactly n are run across workers.
+            let spent = match budget {
+                SearchBudget::Iterations(n) => claimed.fetch_add(1, Ordering::Relaxed) >= n,
+                SearchBudget::VirtualTime(t) => elapsed >= t,
+            };
+            if spent {
                 break;
             }
-            let parent_visits = tree.visits(id);
-            let mut best = children[0];
-            let mut best_value = f64::NEG_INFINITY;
-            for &child in children {
-                let value = ucb1(parent_visits, tree.visits(child), tree.wins(child), c);
-                if value > best_value {
-                    best_value = value;
-                    best = child;
+            // Selection + expansion + virtual loss under the lock: the
+            // tree's own UCB descent, then `vl` pretend lost simulations
+            // on the path so concurrent workers are repelled from it.
+            let (node, state, depth, expanded) = {
+                let mut t = tree.lock().expect("tree lock poisoned");
+                let mut node = t.select(config.exploration_c);
+                let expanded = !t.fully_expanded(node);
+                if expanded {
+                    node = t.expand(node, &mut rng);
                 }
+                for_path(&mut t, node, |t, n| t.add_visits(n, vl));
+                (node, *t.state(node), t.depth(node), expanded)
+            };
+            let result = random_playout(state, &mut rng);
+            {
+                // Remove the virtual loss and apply the real result.
+                let mut t = tree.lock().expect("tree lock poisoned");
+                for_path(&mut t, node, |t, n| t.sub_visits(n, vl));
+                t.backprop(node, result.reward_for(Player::P1), 1);
             }
-            id = best;
-            path.push(id);
+            elapsed += cpu.tree_op(depth) + cpu.playout(result.plies);
+            mine.select += cpu.select_cost(depth);
+            mine.expand += cpu.expand_cost();
+            mine.kernel += cpu.playout(result.plies);
+            mine.simulations += 1;
+            mine.expansions += u64::from(expanded);
         }
-        let mut expanded = false;
-        if !tree.fully_expanded(id) {
-            id = tree.expand(id, rng);
-            path.push(id);
-            expanded = true;
-        }
-        // Virtual loss: pretend `vl` lost simulations along the path.
-        for &n in &path {
-            tree.add_visits(n, vl);
-        }
-        (id, path, expanded)
+        (elapsed, mine)
     }
+}
 
-    /// Removes the virtual loss and applies the real result.
-    fn unmark_and_backprop(tree: &mut SearchTree<G>, path: &[u32], vl: u64, wins_p1: f64) {
-        for &n in path {
-            tree.sub_visits(n, vl);
-        }
-        let leaf = *path.last().expect("non-empty path");
-        tree.backprop(leaf, wins_p1, 1);
+/// Applies `f` to `leaf` and each of its ancestors up to the root.
+fn for_path<G: Game>(
+    tree: &mut SearchTree<G>,
+    leaf: NodeId,
+    mut f: impl FnMut(&mut SearchTree<G>, NodeId),
+) {
+    let mut node = Some(leaf);
+    while let Some(n) = node {
+        f(tree, n);
+        node = tree.parent(n);
     }
 }
 
@@ -112,100 +127,36 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
         let tree = Mutex::new(SearchTree::new(root));
-        let iterations = AtomicU64::new(0);
-        let config = &self.config;
-        let vl = self.virtual_loss;
-        let gen = self.generation;
+        let slots = AtomicU64::new(0);
+        let (this, shared, claimed) = (&*self, &tree, &slots);
 
-        let terminal = tree.lock().is_terminal(0);
-        let mut worker_results: Vec<(SimTime, PhaseBreakdown)> = Vec::new();
-        if !terminal {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.threads)
-                    .map(|w| {
-                        let tree = &tree;
-                        let iterations = &iterations;
-                        scope.spawn(move |_| {
-                            let mut rng = Xoshiro256pp::derive(
-                                config.seed,
-                                0x7EEE ^ (w as u64) ^ (gen << 32),
-                            );
-                            let cpu = config.cpu_cost;
-                            let mut elapsed = SimTime::ZERO;
-                            let mut mine = PhaseBreakdown::new();
-                            loop {
-                                match budget {
-                                    SearchBudget::Iterations(n) => {
-                                        // Claim an iteration slot; the total
-                                        // across workers is exactly n.
-                                        if iterations.fetch_add(1, Ordering::Relaxed) >= n {
-                                            iterations.fetch_sub(1, Ordering::Relaxed);
-                                            break;
-                                        }
-                                    }
-                                    SearchBudget::VirtualTime(t) => {
-                                        if elapsed >= t {
-                                            break;
-                                        }
-                                        iterations.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                let (node, path, expanded) = {
-                                    let mut t = tree.lock();
-                                    Self::select_and_mark(
-                                        &mut t,
-                                        config.exploration_c,
-                                        vl,
-                                        &mut rng,
-                                    )
-                                };
-                                let (state, depth) = {
-                                    let t = tree.lock();
-                                    (*t.state(node), t.depth(node))
-                                };
-                                let result = random_playout(state, &mut rng);
-                                let wins_p1 = result.reward_for(Player::P1);
-                                {
-                                    let mut t = tree.lock();
-                                    Self::unmark_and_backprop(&mut t, &path, vl, wins_p1);
-                                }
-                                elapsed += cpu.tree_op(depth) + cpu.playout(result.plies);
-                                mine.select += cpu.select_cost(depth);
-                                mine.expand += cpu.expand_cost();
-                                mine.kernel += cpu.playout(result.plies);
-                                mine.simulations += 1;
-                                mine.expansions += u64::from(expanded);
-                            }
-                            (elapsed, mine)
-                        })
-                    })
+        let worker_results: Vec<(SimTime, PhaseBreakdown)> = if root.is_terminal() {
+            Vec::new()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..this.threads)
+                    .map(|w| scope.spawn(move || this.worker(shared, claimed, w, budget)))
                     .collect();
-                for h in handles {
-                    worker_results.push(h.join().expect("tree-parallel worker panicked"));
-                }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("tree-parallel worker panicked"))
+                    .collect()
             })
-            .expect("tree-parallel scope failed");
-        }
+        };
 
-        // Workers run concurrently: elapsed = the slowest worker, phase
-        // times = that worker's (still summing to elapsed); counters are
-        // summed over all workers. Like everything else in this searcher
-        // the breakdown depends on scheduler interleaving.
-        let mut phases = PhaseBreakdown::new();
-        for (_, w) in &worker_results {
-            phases.absorb_counters(w);
-        }
-        let crit = critical_index(worker_results.iter().map(|(e, _)| *e));
-        if let Some(i) = crit {
-            phases.adopt_times(&worker_results[i].1);
-        }
-
-        let tree = tree.into_inner();
-        let iterations = iterations.load(Ordering::Relaxed);
-        let elapsed = crit.map(|i| worker_results[i].0).unwrap_or(SimTime::ZERO);
-        phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);
+        // Workers run concurrently and fold like root-parallel trees. Like
+        // everything else in this searcher the breakdown depends on
+        // scheduler interleaving.
+        let (elapsed, phases) = PhaseBreakdown::fold_concurrent(
+            worker_results.iter().map(|(e, p)| (*e, p)),
+            SimTime::ZERO,
+            budget,
+        );
+        let tree = tree.into_inner().expect("tree lock poisoned");
+        // Every worker iteration is one simulation.
+        let iterations = phases.simulations;
         SearchReport {
-            best_move: tree.best_move(config.final_move),
+            best_move: tree.best_move(self.config.final_move),
             simulations: iterations,
             iterations,
             tree_nodes: tree.len() as u64,

@@ -66,24 +66,15 @@ pub struct WuUctSearcher<G: Game> {
 impl<G: Game> WuUctSearcher<G> {
     /// Creates a WU-UCT searcher with `launch.blocks` in-flight batches of
     /// `launch.threads_per_block` playouts per wave, all on one tree.
-    pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        Self::with_stream(config, device, launch, 0)
-    }
-
-    /// Like [`new`](Self::new) but on RNG sub-stream `stream`. The
-    /// derivation matches [`BlockParallelSearcher`] exactly so the width-1
-    /// oracle equivalence holds bit-for-bit.
     ///
-    /// [`BlockParallelSearcher`]: crate::block_parallel::BlockParallelSearcher
-    pub fn with_stream(
-        config: MctsConfig,
-        device: Device,
-        launch: LaunchConfig,
-        stream: u64,
-    ) -> Self {
+    /// The RNG derivation matches [`BlockParallelSearcher::new`] exactly so
+    /// the width-1 oracle equivalence holds bit-for-bit.
+    ///
+    /// [`BlockParallelSearcher::new`]: crate::block_parallel::BlockParallelSearcher::new
+    pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
         WuUctSearcher {
-            rng: Xoshiro256pp::derive(config.seed, 0xB10C ^ stream),
-            driver: WaveDriver::new(&config, device, launch, stream),
+            rng: Xoshiro256pp::derive(config.seed, 0xB10C),
+            driver: WaveDriver::new(&config, device, launch, 0),
             config,
             _game: std::marker::PhantomData,
         }

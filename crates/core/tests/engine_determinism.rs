@@ -604,25 +604,37 @@ fn hybrid_with_faults_identical_across_host_threads() {
 
 #[test]
 fn root_parallel_with_faults_identical_across_host_threads() {
-    assert_reports_identical("root+faults", SearchBudget::Iterations(20), |t| {
-        Box::new(RootParallelSearcher::new(cfg(34).with_faults(mixed_plan(44)), 8).with_workers(t))
-    });
+    assert_identical_and_pinned(
+        "root+faults",
+        SearchBudget::Iterations(20),
+        "Some(ReversiMove(26))/s120/i120/e2078400/v120/w4633570697866641408",
+        |t| {
+            Box::new(
+                RootParallelSearcher::new(cfg(34).with_faults(mixed_plan(44)), 8).with_workers(t),
+            )
+        },
+    );
 }
 
 #[test]
 fn multi_gpu_with_faults_identical_across_host_threads() {
-    assert_reports_identical("multi-gpu+faults", SearchBudget::Iterations(3), |t| {
-        Box::new(
-            MultiGpuSearcher::new(
-                cfg(35).with_faults(mixed_plan(45)),
-                3,
-                DeviceSpec::tesla_c2050(),
-                LaunchConfig::new(2, 32),
-                NetworkModel::infiniband(),
+    assert_identical_and_pinned(
+        "multi-gpu+faults",
+        SearchBudget::Iterations(3),
+        "Some(ReversiMove(37))/s288/i6/e3898575/v288/w4638971498982277120",
+        |t| {
+            Box::new(
+                MultiGpuSearcher::new(
+                    cfg(35).with_faults(mixed_plan(45)),
+                    3,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    NetworkModel::infiniband(),
+                )
+                .with_pool(Arc::new(WorkerPool::new(t))),
             )
-            .with_pool(Arc::new(WorkerPool::new(t))),
-        )
-    });
+        },
+    );
 }
 
 #[test]
@@ -637,6 +649,24 @@ fn multi_node_cpu_with_faults_identical_across_runs() {
         .search(Reversi::initial(), SearchBudget::Iterations(10))
     };
     assert_eq!(run(), run());
+    // The same plan across host-thread counts, pinned: the rank driver's
+    // dead/dropped handling and merge pricing must not drift.
+    assert_identical_and_pinned(
+        "multi-node-cpu+faults",
+        SearchBudget::Iterations(10),
+        "Some(ReversiMove(26))/s70/i70/e1047088/v70/w4630404104378646528",
+        |t| {
+            Box::new(
+                MultiNodeCpuSearcher::new(
+                    cfg(36).with_faults(mixed_plan(46)),
+                    2,
+                    4,
+                    NetworkModel::infiniband(),
+                )
+                .with_pool(Arc::new(WorkerPool::new(t))),
+            )
+        },
+    );
 }
 
 #[test]

@@ -1,27 +1,24 @@
-//! The per-rank communicator: point-to-point messages and collectives.
+//! The per-rank communicator: the allreduce collectives, built on typed
+//! messages between rank threads.
 
-use crate::network::NetworkModel;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// An envelope travelling between ranks.
 pub(crate) struct Envelope {
-    pub(crate) src: usize,
-    pub(crate) tag: u64,
-    pub(crate) payload: Box<dyn Any + Send>,
+    src: usize,
+    tag: u64,
+    payload: Box<dyn Any + Send>,
 }
-
-/// Tags with the top bit set are reserved for collectives.
-const COLLECTIVE_TAG: u64 = 1 << 63;
 
 /// A rank identity, `0..world size`.
 ///
-/// The raw `usize` APIs on [`Comm`] predate this type; it exists so layers
-/// *above* the communicator (the fleet sharding in `pmcts-core` uses one
-/// simulated device per rank) can carry rank identity without inventing a
-/// parallel id space. Ordering is numeric rank order — the same order every
-/// deterministic tie-break in the workspace uses.
+/// Layers *above* the communicator (the fleet sharding in `pmcts-core`
+/// uses one simulated device per rank) carry rank identity in this type
+/// instead of inventing a parallel id space. Ordering is numeric rank
+/// order — the same order every deterministic tie-break in the workspace
+/// uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub usize);
 
@@ -34,39 +31,36 @@ impl std::fmt::Display for Rank {
 /// A rank's handle to the simulated MPI world.
 ///
 /// One `Comm` is owned by each rank thread; it is not `Sync` (MPI
-/// communicators are per-process too). Messages are typed: `recv::<T>` must
+/// communicators are per-process too). Messages are typed: a receive must
 /// match the type that was sent, otherwise it panics — in real MPI this
 /// would be a datatype mismatch, undefined behaviour; here it fails loudly.
 pub struct Comm {
     rank: usize,
     size: usize,
-    net: NetworkModel,
     senders: Vec<Sender<Envelope>>,
     inbox: Receiver<Envelope>,
     /// Messages received but not yet matched by a `recv` (out-of-order
     /// arrivals with different src/tag).
     stash: RefCell<Vec<Envelope>>,
-    /// Per-collective-call sequence number, so back-to-back collectives
-    /// cannot confuse each other's messages.
-    coll_seq: std::cell::Cell<u64>,
+    /// Per-collective-call sequence number, used as the message tag, so
+    /// back-to-back collectives cannot confuse each other's messages.
+    coll_seq: Cell<u64>,
 }
 
 impl Comm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        net: NetworkModel,
         senders: Vec<Sender<Envelope>>,
         inbox: Receiver<Envelope>,
     ) -> Self {
         Comm {
             rank,
             size,
-            net,
             senders,
             inbox,
             stash: RefCell::new(Vec::new()),
-            coll_seq: std::cell::Cell::new(0),
+            coll_seq: Cell::new(0),
         }
     }
 
@@ -76,39 +70,8 @@ impl Comm {
         self.rank
     }
 
-    /// This rank's id as a typed [`Rank`].
-    #[inline]
-    pub fn rank_id(&self) -> Rank {
-        Rank(self.rank)
-    }
-
-    /// Number of ranks in the world.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The network cost model (for charging virtual time).
-    #[inline]
-    pub fn network(&self) -> &NetworkModel {
-        &self.net
-    }
-
-    /// Sends `value` to `dest` with a user `tag`.
-    ///
-    /// # Panics
-    /// Panics if `dest` is out of range or `tag` uses the reserved top bit.
-    pub fn send<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
-        assert!(tag & COLLECTIVE_TAG == 0, "tag {tag:#x} is reserved");
-        self.send_raw(dest, tag, value);
-    }
-
-    fn send_raw<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
-        assert!(
-            dest < self.size,
-            "dest {dest} out of range (size {})",
-            self.size
-        );
+    /// Sends `value` to `dest` with `tag`. Sends never block.
+    fn send<T: Send + 'static>(&self, dest: usize, tag: u64, value: T) {
         self.senders[dest]
             .send(Envelope {
                 src: self.rank,
@@ -122,122 +85,71 @@ impl Comm {
     ///
     /// Messages from other (src, tag) pairs arriving in between are stashed
     /// and delivered to their own matching `recv` calls later.
-    pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        assert!(tag & COLLECTIVE_TAG == 0, "tag {tag:#x} is reserved");
-        self.recv_raw(src, tag)
-    }
-
-    fn recv_raw<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
-        // First check the stash.
-        {
+    fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
+        let matches = |e: &Envelope| e.src == src && e.tag == tag;
+        let stashed = {
             let mut stash = self.stash.borrow_mut();
-            if let Some(pos) = stash.iter().position(|e| e.src == src && e.tag == tag) {
-                let env = stash.swap_remove(pos);
-                return Self::downcast(env, src, tag);
-            }
-        }
-        // Then drain the inbox until a match arrives.
-        loop {
+            let pos = stash.iter().position(matches);
+            pos.map(|pos| stash.swap_remove(pos))
+        };
+        let env = stashed.unwrap_or_else(|| loop {
             let env = self.inbox.recv().expect("world shut down during recv");
-            if env.src == src && env.tag == tag {
-                return Self::downcast(env, src, tag);
+            if matches(&env) {
+                break env;
             }
             self.stash.borrow_mut().push(env);
-        }
-    }
-
-    fn downcast<T: 'static>(env: Envelope, src: usize, tag: u64) -> T {
+        });
         *env.payload.downcast::<T>().unwrap_or_else(|_| {
             panic!(
-                "type mismatch receiving from rank {src} tag {:#x}: expected {}",
-                tag,
+                "type mismatch receiving from rank {src} tag {tag:#x}: expected {}",
                 std::any::type_name::<T>()
             )
         })
     }
 
-    fn next_coll_tag(&self) -> u64 {
+    fn next_tag(&self) -> u64 {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
-        COLLECTIVE_TAG | seq
+        seq
     }
 
-    /// Synchronises all ranks (central-coordinator barrier).
-    pub fn barrier(&self) {
-        let tag = self.next_coll_tag();
+    /// Broadcasts rank 0's value to every rank. Rank 0 must pass
+    /// `Some(value)`; other ranks pass `None`.
+    fn broadcast<T: Clone + Send + 'static>(&self, value: Option<T>) -> T {
+        let tag = self.next_tag();
         if self.rank == 0 {
-            for src in 1..self.size {
-                let _: () = self.recv_raw(src, tag);
-            }
-            for dest in 1..self.size {
-                self.send_raw(dest, tag, ());
-            }
-        } else {
-            self.send_raw(0, tag, ());
-            let _: () = self.recv_raw(0, tag);
-        }
-    }
-
-    /// Broadcasts a value from `root` to every rank. The root must pass
-    /// `Some(value)`; other ranks pass `None` (their argument is ignored,
-    /// mirroring MPI_Bcast's in-place receive buffer).
-    ///
-    /// # Panics
-    /// Panics if the root passes `None`.
-    pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        assert!(root < self.size);
-        let tag = self.next_coll_tag();
-        if self.rank == root {
             let value = value.expect("broadcast root must supply a value");
-            for dest in 0..self.size {
-                if dest != root {
-                    self.send_raw(dest, tag, value.clone());
-                }
+            for dest in 1..self.size {
+                self.send(dest, tag, value.clone());
             }
             value
         } else {
-            self.recv_raw(root, tag)
+            self.recv(0, tag)
         }
     }
 
-    /// Reduces every rank's `value` to `root` with `fold`, combining in
-    /// ascending rank order (deterministic for non-commutative folds).
-    /// Returns `Some(result)` on the root, `None` elsewhere.
-    // Indexing by rank is the point here: arrival order must not matter.
-    #[allow(clippy::needless_range_loop)]
-    pub fn reduce<T, F>(&self, root: usize, value: T, fold: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: FnMut(T, T) -> T,
-    {
-        assert!(root < self.size);
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let mut parts: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-            parts[root] = Some(value);
-            for src in 0..self.size {
-                if src != root {
-                    parts[src] = Some(self.recv_raw(src, tag));
-                }
-            }
-            let mut iter = parts.into_iter().flatten();
-            let first = iter.next().expect("at least one rank");
-            Some(iter.fold(first, fold))
+    /// Gathers every rank's `value` to rank 0 in rank order (`None`
+    /// elsewhere).
+    fn gather<T: Send + 'static>(&self, value: T) -> Option<Vec<T>> {
+        let tag = self.next_tag();
+        if self.rank == 0 {
+            let rest = (1..self.size).map(|src| self.recv(src, tag));
+            Some(std::iter::once(value).chain(rest).collect())
         } else {
-            self.send_raw(root, tag, value);
+            self.send(0, tag, value);
             None
         }
     }
 
     /// Reduce-to-all: every rank receives the rank-ordered fold of all
-    /// values.
+    /// values (deterministic for non-commutative folds).
     pub fn allreduce<T, F>(&self, value: T, fold: F) -> T
     where
         T: Clone + Send + 'static,
         F: FnMut(T, T) -> T,
     {
-        let reduced = self.reduce(0, value, fold);
-        self.broadcast(0, reduced)
+        self.allreduce_sparse(Some(value), fold)
+            .expect("every rank contributed")
     }
 
     /// Allreduce over the ranks that have something to contribute.
@@ -256,76 +168,11 @@ impl Comm {
         T: Clone + Send + 'static,
         F: FnMut(T, T) -> T,
     {
-        let gathered = self.gather(0, value);
-        let reduced = gathered.map(|parts| {
+        let reduced = self.gather(value).map(|parts| {
             let mut iter = parts.into_iter().flatten();
             iter.next().map(|first| iter.fold(first, fold))
         });
-        self.broadcast(0, reduced)
-    }
-
-    /// Combined send+receive with one partner (deadlock-free even when both
-    /// sides target each other, because sends never block).
-    pub fn sendrecv<T: Send + 'static, U: Send + 'static>(
-        &self,
-        partner: usize,
-        tag: u64,
-        value: T,
-    ) -> U {
-        self.send(partner, tag, value);
-        self.recv(partner, tag)
-    }
-
-    /// Scatters `values[i]` from `root` to rank `i`. The root passes
-    /// `Some(values)` (length = world size); other ranks pass `None`.
-    ///
-    /// # Panics
-    /// Panics on the root if `values` is missing or has the wrong length.
-    pub fn scatter<T: Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        assert!(root < self.size);
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let values = values.expect("scatter root must supply values");
-            assert_eq!(values.len(), self.size, "scatter needs one value per rank");
-            let mut own = None;
-            for (dest, v) in values.into_iter().enumerate() {
-                if dest == root {
-                    own = Some(v);
-                } else {
-                    self.send_raw(dest, tag, v);
-                }
-            }
-            own.expect("root value present")
-        } else {
-            self.recv_raw(root, tag)
-        }
-    }
-
-    /// Gather-to-all: every rank receives every rank's value, in rank
-    /// order (gather to rank 0 + broadcast).
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let gathered = self.gather(0, value);
-        self.broadcast(0, gathered)
-    }
-
-    /// Gathers every rank's `value` to `root` in rank order.
-    #[allow(clippy::needless_range_loop)]
-    pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        assert!(root < self.size);
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-            out[root] = Some(value);
-            for src in 0..self.size {
-                if src != root {
-                    out[src] = Some(self.recv_raw(src, tag));
-                }
-            }
-            Some(out.into_iter().map(|v| v.expect("gathered")).collect())
-        } else {
-            self.send_raw(root, tag, value);
-            None
-        }
+        self.broadcast(reduced)
     }
 }
 
@@ -335,5 +182,43 @@ impl std::fmt::Debug for Comm {
             .field("rank", &self.rank)
             .field("size", &self.size)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::World;
+
+    #[test]
+    fn out_of_order_tags_are_stashed() {
+        let out = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                // Send tag 2 first, then tag 1; receiver asks for 1 first.
+                comm.send(1, 2, 20u32);
+                comm.send(1, 1, 10u32);
+                0
+            } else {
+                let first: u32 = comm.recv(0, 1);
+                let second: u32 = comm.recv(0, 2);
+                assert_eq!((first, second), (10, 20));
+                first + second
+            }
+        });
+        assert_eq!(out[1], 30);
+    }
+
+    #[test]
+    fn type_mismatch_panics_loudly() {
+        // Sending u32 but receiving u64 must panic with a clear message.
+        let result = std::panic::catch_unwind(|| {
+            World::run(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, 42u32);
+                } else {
+                    let _: u64 = comm.recv(0, 1);
+                }
+            });
+        });
+        assert!(result.is_err());
     }
 }

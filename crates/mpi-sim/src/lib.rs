@@ -1,11 +1,11 @@
 //! A simulated MPI layer.
 //!
 //! The paper's multi-GPU experiment (its Fig. 9) distributes root-parallel
-//! MCTS over GPUs with MPI. This crate substitutes a faithful in-process
-//! model: each rank is an OS thread, point-to-point messages are typed
-//! values over channels, and the usual collectives (barrier, broadcast,
-//! reduce, allreduce, gather) are built on top with deterministic,
-//! rank-ordered reduction so results are reproducible.
+//! MCTS over GPUs with MPI and merges root statistics with an allreduce.
+//! This crate substitutes a faithful in-process model of exactly that: each
+//! rank is an OS thread ([`World::run`]), messages are typed values over
+//! channels, and [`Comm::allreduce`] / [`Comm::allreduce_sparse`] fold the
+//! ranks' values in ascending rank order so results are reproducible.
 //!
 //! Communication *cost* is modelled, not measured: a [`NetworkModel`]
 //! charges per-message latency plus bandwidth, and collectives cost
@@ -15,10 +15,10 @@
 //! time.
 //!
 //! ```
-//! use pmcts_mpi_sim::{NetworkModel, World};
+//! use pmcts_mpi_sim::World;
 //!
 //! // Sum each rank's id with an allreduce on 4 ranks.
-//! let results = World::run(4, NetworkModel::infiniband(), |comm| {
+//! let results = World::run(4, |comm| {
 //!     comm.allreduce(comm.rank() as u64, |a, b| a + b)
 //! });
 //! assert_eq!(results, vec![6, 6, 6, 6]);

@@ -4,7 +4,7 @@
 use pmcts::games::reversi::bitboard;
 use pmcts::games::{random_playout, Game, MoveBuf, Player, Reversi};
 use pmcts::gpu_sim::{Device, DeviceSpec, Kernel, LaunchConfig, ThreadId};
-use pmcts::mpi_sim::{NetworkModel, World};
+use pmcts::mpi_sim::World;
 use pmcts::prelude::SimTime;
 use pmcts::util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -117,7 +117,7 @@ proptest! {
         let n = values.len();
         let expected: u64 = values.iter().sum();
         let vals = values.clone();
-        let out = World::run(n, NetworkModel::ideal(), move |comm| {
+        let out = World::run(n, move |comm| {
             comm.allreduce(vals[comm.rank()], |a, b| a + b)
         });
         prop_assert!(out.into_iter().all(|v| v == expected));
