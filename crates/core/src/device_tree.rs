@@ -20,11 +20,14 @@
 //! simulations — the same budget unit as
 //! [`BlockParallelSearcher`](crate::block_parallel::BlockParallelSearcher). The
 //! canonical order (rounds outer, lanes inner, sequential tree semantics)
-//! makes the result a pure function of the seed: blocks fan out over the
-//! worker pool, but every block's work is internally sequential and all
-//! folding happens in block order, so reports are bit-identical for any
-//! `--host-threads` (the oracle test below replays the same order on the
-//! host reference path).
+//! makes the result a pure function of the seed. On the host, blocks run
+//! in lock-step groups of 8 that fan out over the worker pool: lane `l`
+//! of every block in a group descends, the group's frontier states play
+//! out as one lane batch, and each block backpropagates its own result.
+//! Blocks share nothing, so the interleaving leaves every block's own
+//! order intact, and all folding happens in block order — reports are
+//! bit-identical for any `--host-threads` (the oracle tests below replay
+//! the per-block order with scalar playouts on the host reference path).
 //!
 //! Cost accounting lives in [`pmcts_gpu_sim::device_tree`]: warp
 //! divergence settles once over each lane's *summed* steps (a lane
@@ -43,7 +46,7 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::tree::SearchTree;
 use crate::wave::{Ledger, WaveDriver};
-use pmcts_games::{random_playout, Game, Player};
+use pmcts_games::{chunked_playouts, Game, Player, PlayoutResult};
 use pmcts_gpu_sim::{
     Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
 };
@@ -152,21 +155,22 @@ impl<G: Game> DeviceTreeSearcher<G> {
     }
 }
 
-/// One complete in-kernel MCTS iteration for one lane: UCB descent,
-/// expansion (pick drawn from the lane RNG), playout from the frontier,
-/// backprop into the resident tree. Records the lane's step counts —
-/// `depth+1` node reads for the descent, one allocator claim, `depth+1`
-/// updates for the backprop walk — and the playout plies.
-///
-/// This is the canonical iteration both the searcher and the oracle
-/// reference replay; its order (and nothing else) defines the result.
-fn lane_iteration<G: Game>(
+/// Blocks simulated in lock-step by one pool task: the widest
+/// [`LaneBatch`](pmcts_games::LaneBatch), so lane `l` of a full group plays
+/// its 8 frontier nodes out as one batch.
+const GROUP: usize = 8;
+
+/// Descent half of one in-kernel MCTS iteration for one lane: UCB descent
+/// and expansion (pick drawn from the lane RNG), with the allocator
+/// bookkeeping. Returns the frontier node and the lane's tree steps for the
+/// iteration — `depth+1` node reads for the descent, one allocator claim,
+/// `depth+1` updates for the backprop walk [`land`] performs.
+fn descend<G: Game>(
     tree: &mut SearchTree<G>,
     rng: &mut Xoshiro256pp,
     exploration_c: f64,
     run: &mut BlockRun,
-    lane: usize,
-) {
+) -> (u32, u64) {
     let sel = tree.select(exploration_c);
     let sel_depth = tree.depth(sel) as u64;
     let untried = tree.untried_len(sel);
@@ -187,19 +191,109 @@ fn lane_iteration<G: Game>(
         sel
     };
     let node_depth = tree.depth(node) as u64;
-    let playout = random_playout(*tree.state(node), rng);
+    (node, sel_depth + 1 + 1 + node_depth + 1)
+}
+
+/// Landing half of one in-kernel iteration: backprop of the frontier
+/// node's playout into the resident tree, and the lane's step counts.
+fn land<G: Game>(
+    tree: &mut SearchTree<G>,
+    node: u32,
+    tree_steps: u64,
+    playout: &PlayoutResult,
+    run: &mut BlockRun,
+    lane: usize,
+) {
     tree.backprop(node, playout.reward_for(Player::P1), 1);
     let cell = &mut run.per_lane[lane];
-    cell.0 += sel_depth + 1 + 1 + node_depth + 1;
+    cell.0 += tree_steps;
     cell.1 += (playout.plies as u64).max(1);
     run.sims += 1;
 }
 
+/// The oracle: one complete iteration with a scalar
+/// [`random_playout`](pmcts_games::random_playout) from the frontier, exactly the canonical per-block order the lock-step
+/// groups must reproduce. Only the tests replay it.
+#[cfg(test)]
+fn lane_iteration<G: Game>(
+    tree: &mut SearchTree<G>,
+    rng: &mut Xoshiro256pp,
+    exploration_c: f64,
+    run: &mut BlockRun,
+    lane: usize,
+) {
+    let (node, tree_steps) = descend(tree, rng, exploration_c, run);
+    let playout = pmcts_games::random_playout(*tree.state(node), rng);
+    land(tree, node, tree_steps, &playout, run, lane);
+}
+
+/// Runs `rounds` rounds over one group of up to [`GROUP`] blocks, the first
+/// being block `first`, in lock-step: per round and lane, every live block
+/// descends, the group's frontier states play out together through
+/// [`chunked_playouts`], and every live block lands its playout. Blocks
+/// share nothing (own tree, own lane RNG streams, own [`BlockRun`]), so
+/// interleaving them leaves each block's canonical order — rounds outer,
+/// lanes inner, one iteration at a time — untouched. The voided block
+/// sits out, its tree untouched and its run empty.
+#[allow(clippy::too_many_arguments)]
+fn run_group<G: Game>(
+    trees: &mut [SearchTree<G>],
+    first: usize,
+    tpb: usize,
+    rounds: u64,
+    seed: u64,
+    exploration_c: f64,
+    voided: Option<usize>,
+) -> Vec<BlockRun> {
+    let mut runs: Vec<BlockRun> = trees
+        .iter()
+        .map(|_| BlockRun {
+            per_lane: vec![(0, 0); tpb],
+            ..BlockRun::default()
+        })
+        .collect();
+    let live: Vec<usize> = (0..trees.len())
+        .filter(|&i| Some(first + i) != voided)
+        .collect();
+    let width = live.len();
+    if width == 0 {
+        return runs;
+    }
+    // Lane RNGs derive exactly like the playout kernel's: one stream per
+    // global thread id, fresh per launch. Lane-major, so lane `l`'s streams
+    // across the group are one contiguous slice.
+    let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
+        .flat_map(|l| {
+            live.iter()
+                .map(move |&i| Xoshiro256pp::derive(seed, ((first + i) * tpb + l) as u64))
+        })
+        .collect();
+    let mut frontier: Vec<(u32, u64)> = Vec::with_capacity(width);
+    let mut states: Vec<G> = Vec::with_capacity(width);
+    for _ in 0..rounds {
+        for (l, lane_rngs) in rngs.chunks_mut(width).enumerate() {
+            frontier.clear();
+            states.clear();
+            for (&i, rng) in live.iter().zip(lane_rngs.iter_mut()) {
+                let (node, tree_steps) = descend(&mut trees[i], rng, exploration_c, &mut runs[i]);
+                states.push(*trees[i].state(node));
+                frontier.push((node, tree_steps));
+            }
+            let mut landing = live.iter().zip(&frontier);
+            chunked_playouts(&states, lane_rngs, |playout| {
+                let (&i, &(node, tree_steps)) = landing.next().expect("one landing per playout");
+                land(&mut trees[i], node, tree_steps, &playout, &mut runs[i], l);
+            });
+        }
+    }
+    runs
+}
+
 /// Runs `rounds` rounds of the persistent kernel over every block's tree
-/// (blocks fan out over the pool; each block is internally sequential:
-/// rounds outer, lanes inner). Folds traces, allocator mirroring and
-/// counters in block order, prices the launch, and returns
-/// `(stats, simulations, expansions)`.
+/// (lock-step groups of [`GROUP`] blocks fan out over the pool; each block
+/// is internally sequential: rounds outer, lanes inner). Folds traces,
+/// allocator mirroring and counters in block order, prices the launch, and
+/// returns `(stats, simulations, expansions)`.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<G: Game>(
     trees: &mut [SearchTree<G>],
@@ -213,26 +307,14 @@ fn run_rounds<G: Game>(
     voided: Option<usize>,
 ) -> (pmcts_gpu_sim::KernelStats, u64, u64) {
     let tpb = launch.threads_per_block as usize;
-    let runs: Vec<BlockRun> = pool.map_indexed(trees, |b, tree| {
-        let mut run = BlockRun {
-            per_lane: vec![(0, 0); tpb],
-            ..BlockRun::default()
-        };
-        if Some(b) == voided {
-            return run;
-        }
-        // Lane RNGs derive exactly like the playout kernel's: one stream
-        // per global thread id, fresh per launch.
-        let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
-            .map(|l| Xoshiro256pp::derive(seed, (b * tpb + l) as u64))
-            .collect();
-        for _ in 0..rounds {
-            for (l, rng) in rngs.iter_mut().enumerate() {
-                lane_iteration(tree, rng, exploration_c, &mut run, l);
-            }
-        }
-        run
-    });
+    let mut groups: Vec<&mut [SearchTree<G>]> = trees.chunks_mut(GROUP).collect();
+    let runs: Vec<BlockRun> = pool
+        .map_indexed(&mut groups, |g, group| {
+            run_group(group, g * GROUP, tpb, rounds, seed, exploration_c, voided)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     let mut sims = 0u64;
     let mut expansions = 0u64;
@@ -427,43 +509,109 @@ mod tests {
             .collect()
     }
 
+    /// Replays the canonical order on the host for every block — cold
+    /// trees, rounds outer, lanes inner, scalar [`lane_iteration`] with
+    /// lane RNGs derived from the launch stream seed — skipping the voided
+    /// block, and returns the per-block tree images.
+    fn reference_images(
+        config: &MctsConfig,
+        launch: LaunchConfig,
+        rounds: u64,
+        launch_seed: u64,
+        voided: Option<usize>,
+    ) -> Vec<Vec<(u64, u64)>> {
+        let tpb = launch.threads_per_block as usize;
+        (0..launch.blocks as usize)
+            .map(|b| {
+                let mut reference = SearchTree::for_config(Reversi::initial(), config);
+                let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
+                    .map(|l| Xoshiro256pp::derive(launch_seed, (b * tpb + l) as u64))
+                    .collect();
+                let mut run = BlockRun {
+                    per_lane: vec![(0, 0); tpb],
+                    ..BlockRun::default()
+                };
+                if Some(b) != voided {
+                    for _ in 0..rounds {
+                        for (l, rng) in rngs.iter_mut().enumerate() {
+                            lane_iteration(&mut reference, rng, config.exploration_c, &mut run, l);
+                        }
+                    }
+                }
+                tree_image(&reference)
+            })
+            .collect()
+    }
+
     #[test]
     fn oracle_matches_host_reference_path() {
         // The searcher's result must be bit-identical to a plain host-side
-        // replay of the canonical order: cold trees, rounds outer, lanes
-        // inner, lane RNGs derived from the launch stream seed.
+        // replay of the canonical order. 4 blocks run as one partial
+        // lock-step group; 11 as a full group of 8 plus a 3-block tail.
         let seed = 7u64;
-        let launch = LaunchConfig::new(4, 32);
         let rounds = 6u64;
-        let mut s = DeviceTreeSearcher::<Reversi>::new(cfg(seed), device(), launch);
-        let r = s.search(Reversi::initial(), SearchBudget::Iterations(rounds));
-        assert_eq!(r.iterations, rounds);
-        let searched = s.resident.as_ref().expect("trees stay resident");
-        assert_eq!(searched.len(), launch.blocks as usize);
-
-        let config = cfg(seed);
-        // First launch (epoch 1) on sub-stream 0.
-        let launch_seed = seed.wrapping_add(0xA076_1D64_78BD_642F);
-        let tpb = launch.threads_per_block as usize;
-        for (b, searched_tree) in searched.iter().enumerate() {
-            let mut reference = SearchTree::for_config(Reversi::initial(), &config);
-            let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
-                .map(|l| Xoshiro256pp::derive(launch_seed, (b * tpb + l) as u64))
-                .collect();
-            let mut run = BlockRun {
-                per_lane: vec![(0, 0); tpb],
-                ..BlockRun::default()
-            };
-            for _ in 0..rounds {
-                for (l, rng) in rngs.iter_mut().enumerate() {
-                    lane_iteration(&mut reference, rng, config.exploration_c, &mut run, l);
-                }
+        for blocks in [4, 11] {
+            let launch = LaunchConfig::new(blocks, 32);
+            let mut s = DeviceTreeSearcher::<Reversi>::new(cfg(seed), device(), launch);
+            let r = s.search(Reversi::initial(), SearchBudget::Iterations(rounds));
+            assert_eq!(r.iterations, rounds);
+            let searched = s.resident.as_ref().expect("trees stay resident");
+            assert_eq!(searched.len(), blocks as usize);
+            // First launch (epoch 1) on sub-stream 0.
+            let launch_seed = seed.wrapping_add(0xA076_1D64_78BD_642F);
+            let reference = reference_images(&cfg(seed), launch, rounds, launch_seed, None);
+            for (b, searched_tree) in searched.iter().enumerate() {
+                assert_eq!(
+                    tree_image(searched_tree),
+                    reference[b],
+                    "{blocks} blocks: block {b} diverged from the host reference"
+                );
             }
-            assert_eq!(
-                tree_image(searched_tree),
-                tree_image(&reference),
-                "block {b} diverged from the host reference"
+        }
+    }
+
+    #[test]
+    fn voided_block_matches_host_reference() {
+        // A block abort inside the full group of 11 blocks: the voided
+        // tree is left out of its group's lane batches (untouched, empty
+        // run) while its seven neighbours and the tail still replay the
+        // canonical order. At 9 blocks the voided block is the whole
+        // 1-block tail group.
+        let config = cfg(8);
+        let (rounds, launch_seed) = (4u64, 0x5EED);
+        for (blocks, voided) in [(11u32, 5usize), (9, 8)] {
+            let launch = LaunchConfig::new(blocks, 32);
+            let mut trees: Vec<SearchTree<Reversi>> = (0..blocks)
+                .map(|_| SearchTree::for_config(Reversi::initial(), &config))
+                .collect();
+            let mut allocs: Vec<DeviceAllocator> = trees
+                .iter()
+                .map(|t| DeviceAllocator::with_live_prefix(u32::MAX, t.live_nodes() as u32))
+                .collect();
+            let dev = Device::new(DeviceSpec::tesla_c2050()).with_host_threads(2);
+            let pool = std::sync::Arc::clone(dev.worker_pool());
+            let (_, sims, _) = run_rounds(
+                &mut trees,
+                &mut allocs,
+                &pool,
+                launch,
+                &dev,
+                rounds,
+                launch_seed,
+                config.exploration_c,
+                Some(voided),
             );
+            assert_eq!(sims, rounds * (blocks as u64 - 1) * 32, "one block voided");
+            let reference = reference_images(&config, launch, rounds, launch_seed, Some(voided));
+            for (b, tree) in trees.iter().enumerate() {
+                assert_eq!(
+                    tree_image(tree),
+                    reference[b],
+                    "{blocks} blocks: block {b} diverged from the host reference"
+                );
+                assert_eq!(allocs[b].live() as usize, tree.live_nodes());
+            }
+            assert_eq!(trees[voided].live_nodes(), 1, "voided tree untouched");
         }
     }
 

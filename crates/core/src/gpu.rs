@@ -11,7 +11,7 @@
 //! ("the results are written to an array in the GPU's memory (0 = loss,
 //! 1 = victory)") generalised to carry draws.
 
-use pmcts_games::{random_playout, Game, LaneBatch, Outcome, Player};
+use pmcts_games::{chunked_playouts, random_playout, Game, Outcome, Player};
 use pmcts_gpu_sim::{Kernel, ThreadId};
 use pmcts_util::Xoshiro256pp;
 
@@ -78,21 +78,6 @@ impl<G: Game> PlayoutKernel<G> {
     pub fn upload_bytes(&self) -> u64 {
         (self.roots.len() * G::device_state_bytes()) as u64
     }
-
-    /// Runs `N` lanes as one [`LaneBatch`], with per-lane roots and RNG
-    /// streams derived exactly as [`Kernel::init`] derives them — so the
-    /// batch is bit-identical to `N` scalar `run_lane` calls.
-    fn run_lane_batch<const N: usize>(&self, tids: &[ThreadId], out: &mut Vec<(LaneOutcome, u64)>) {
-        debug_assert_eq!(tids.len(), N);
-        let roots: [G; N] =
-            std::array::from_fn(|i| self.roots[tids[i].block as usize % self.roots.len()]);
-        let rngs: [Xoshiro256pp; N] =
-            std::array::from_fn(|i| Xoshiro256pp::derive(self.stream_seed, tids[i].global as u64));
-        for result in LaneBatch::new(roots, rngs).run() {
-            let steps = (result.plies as u64).max(1);
-            out.push((LaneOutcome::from_outcome(result.outcome), steps));
-        }
-    }
 }
 
 impl<G: Game> Kernel for PlayoutKernel<G> {
@@ -152,34 +137,26 @@ impl<G: Game> Kernel for PlayoutKernel<G> {
         (LaneOutcome::from_outcome(result.outcome), steps)
     }
 
-    /// Batched lanes: whenever ≥ 4 playouts share a warp — and the game's
-    /// lane engine is a measured win ([`Game::LANE_ENGINE`]) — advance
-    /// them as a [`LaneBatch`] (8-wide chunks, then a 4-wide chunk, scalar
-    /// remainder) so the bit-parallel hot loop runs. A pure wall-clock
-    /// optimisation: every lane keeps its own derived RNG stream and step
-    /// count, so outputs are bit-identical to the scalar
-    /// [`run_lane`](Kernel::run_lane) path the lockstep oracle checks.
+    /// Batched lanes: the warp's playouts run through
+    /// [`chunked_playouts`], so whenever the game's lane engine is a
+    /// measured win ([`Game::LANE_ENGINE`]) they advance as lane batches
+    /// and the bit-parallel hot loop runs. A pure wall-clock optimisation:
+    /// every lane keeps its own derived RNG stream and step count, so
+    /// outputs are bit-identical to the scalar [`run_lane`](Kernel::run_lane)
+    /// path the lockstep oracle checks.
     fn run_lanes(&self, tids: &[ThreadId], out: &mut Vec<(LaneOutcome, u64)>) {
-        if !G::LANE_ENGINE {
-            for &tid in tids {
-                out.push(self.run_lane(tid));
-            }
-            return;
-        }
-        let mut rest = tids;
-        while rest.len() >= 8 {
-            let (chunk, tail) = rest.split_at(8);
-            self.run_lane_batch::<8>(chunk, out);
-            rest = tail;
-        }
-        if rest.len() >= 4 {
-            let (chunk, tail) = rest.split_at(4);
-            self.run_lane_batch::<4>(chunk, out);
-            rest = tail;
-        }
-        for &tid in rest {
-            out.push(self.run_lane(tid));
-        }
+        let roots: Vec<G> = tids
+            .iter()
+            .map(|tid| self.roots[tid.block as usize % self.roots.len()])
+            .collect();
+        let mut rngs: Vec<Xoshiro256pp> = tids
+            .iter()
+            .map(|tid| Xoshiro256pp::derive(self.stream_seed, tid.global as u64))
+            .collect();
+        chunked_playouts(&roots, &mut rngs, |result| {
+            let steps = (result.plies as u64).max(1);
+            out.push((LaneOutcome::from_outcome(result.outcome), steps));
+        });
     }
 }
 

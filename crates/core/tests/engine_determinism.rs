@@ -197,7 +197,16 @@ fn hex11_searches_identical_across_host_threads_and_pinned() {
             LaunchConfig::new(4, 32),
         ))
     }
-    let cases: [(&str, &str, Build); 2] = [
+    // 9 resident trees = one full lock-step group plus a 1-block tail, on
+    // the scalar (non-lane) playout route of the grouped kernel.
+    fn device_tree(t: usize) -> Box<dyn Searcher<Hex11>> {
+        Box::new(DeviceTreeSearcher::new(
+            cfg(35),
+            device(t),
+            LaunchConfig::new(9, 32),
+        ))
+    }
+    let cases: [(&str, &str, Build); 3] = [
         (
             "hex11 leaf",
             "Some(66)/s304/i4/e11336153/v304/w4639587225493831680",
@@ -207,6 +216,11 @@ fn hex11_searches_identical_across_host_threads_and_pinned() {
             "hex11 block",
             "Some(117)/s512/i4/e5927636/v512/w4643439914237558784",
             block,
+        ),
+        (
+            "hex11 device-tree",
+            "Some(16)/s1152/i4/e3581343/v1152/w4648480075539283968",
+            device_tree,
         ),
     ];
     for (what, pin, build) in cases {
@@ -266,6 +280,49 @@ fn bounded_device_tree_identical_across_host_threads() {
             LaunchConfig::new(4, 32),
         ))
     });
+}
+
+#[test]
+fn device_tree_lane_groups_identical_across_host_threads_and_pinned() {
+    // 11 blocks = one full lock-step group of 8 resident trees plus a
+    // 3-block tail, so the grouped lane-batch playouts (8-wide chunks, a
+    // 4-wide chunk plus scalar remainder for a 7-member group, scalar
+    // tails) are all reached. Fault-plan seed 68 draws a hang on epoch 1
+    // (dry-run + retry) and `BlockAbort(6)` on the retry, so the voided
+    // block sits inside the full group. Pinned at the scalar per-block
+    // implementation: grouping must never move a fingerprint.
+    let launch = LaunchConfig::new(11, 32);
+    let cases = [
+        (
+            "device-tree 11x32",
+            cfg(71),
+            SearchBudget::Iterations(5),
+            "Some(ReversiMove(19))/s1760/i5/e2323735/v1760/w4650569147632058368",
+        ),
+        (
+            "device-tree 11x32 (time)",
+            cfg(72),
+            SearchBudget::VirtualTime(SimTime::from_millis(20)),
+            "Some(ReversiMove(26))/s15488/i44/e19839277/v15488/w4664755596409438208",
+        ),
+        (
+            "bounded device-tree 11x32",
+            cfg(73).with_tree_capacity(64),
+            SearchBudget::Iterations(5),
+            "Some(ReversiMove(19))/s1760/i5/e2327075/v1760/w4650489982794858496",
+        ),
+        (
+            "device-tree 11x32+faults",
+            cfg(74).with_faults(mixed_plan(68)),
+            SearchBudget::Iterations(5),
+            "Some(ReversiMove(37))/s1600/i5/e6972895/v1600/w4649971013306548224",
+        ),
+    ];
+    for (what, config, budget, pin) in cases {
+        assert_identical_and_pinned(what, budget, pin, |t| {
+            Box::new(DeviceTreeSearcher::new(config.clone(), device(t), launch))
+        });
+    }
 }
 
 #[test]

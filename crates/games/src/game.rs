@@ -87,10 +87,13 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     const MAX_GAME_LENGTH: usize;
 
     /// Whether [`lane_playouts`](Game::lane_playouts) is a measured
-    /// wall-clock win over scalar playouts for this game. The playout
-    /// kernel only routes warps through lane batches when this is set;
-    /// games on the generic interleaved engine keep the scalar path (the
-    /// round-robin bookkeeping costs more than its ILP buys there).
+    /// wall-clock win over scalar playouts for this game.
+    /// [`chunked_playouts`](crate::playout::chunked_playouts) only routes
+    /// through lane batches when this is set, for both of its callers: the
+    /// playout kernel's warps and the resident-tree kernel's lock-step
+    /// block groups. Games on the generic interleaved engine keep the
+    /// scalar path (the round-robin bookkeeping costs more than its ILP
+    /// buys there).
     const LANE_ENGINE: bool = false;
 
     /// The initial position.

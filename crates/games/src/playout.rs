@@ -104,6 +104,53 @@ impl<G: Game, const N: usize> LaneBatch<G, N> {
     }
 }
 
+/// Plays one random playout per element, element `i` from `roots[i]`
+/// drawing from `rngs[i]`, and hands the results to `emit` in element
+/// order.
+///
+/// The one chunk policy every lane-engine caller shares (the playout
+/// kernel's warps, the resident-tree kernel's lock-step block groups):
+/// when the game's lane engine is a measured win ([`Game::LANE_ENGINE`]),
+/// 8-wide [`Game::lane_playouts`] chunks, then one 4-wide chunk, then
+/// scalar [`random_playout`] for the remainder; otherwise scalar
+/// throughout. Bit-identical to per-element [`random_playout`] calls —
+/// results *and* final RNG states (DESIGN.md §15).
+///
+/// # Panics
+/// Panics if `roots` and `rngs` differ in length.
+pub fn chunked_playouts<G: Game, R: Rng64>(
+    roots: &[G],
+    rngs: &mut [R],
+    mut emit: impl FnMut(PlayoutResult),
+) {
+    assert_eq!(roots.len(), rngs.len(), "one RNG stream per playout root");
+    let mut done = 0;
+    if G::LANE_ENGINE {
+        while roots.len() - done >= 8 {
+            lane_chunk::<G, R, 8>(&roots[done..], &mut rngs[done..], &mut emit);
+            done += 8;
+        }
+        if roots.len() - done >= 4 {
+            lane_chunk::<G, R, 4>(&roots[done..], &mut rngs[done..], &mut emit);
+            done += 4;
+        }
+    }
+    for (root, rng) in roots[done..].iter().zip(&mut rngs[done..]) {
+        emit(random_playout(*root, rng));
+    }
+}
+
+/// Runs the first `N` elements as one lane batch, in place on the RNGs.
+fn lane_chunk<G: Game, R: Rng64, const N: usize>(
+    roots: &[G],
+    rngs: &mut [R],
+    emit: &mut impl FnMut(PlayoutResult),
+) {
+    let roots: &[G; N] = roots[..N].try_into().expect("chunk of N roots");
+    let rngs: &mut [R; N] = (&mut rngs[..N]).try_into().expect("chunk of N RNGs");
+    G::lane_playouts(roots, rngs).into_iter().for_each(emit);
+}
+
 /// The generic interleaved lane engine — the default body of
 /// [`Game::lane_playouts`].
 ///

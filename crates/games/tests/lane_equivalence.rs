@@ -11,11 +11,14 @@
 //! Covered engines: Reversi (bit-parallel `lane_playouts` override),
 //! Connect-4 / Tic-Tac-Toe / Hex (generic interleaved default), at lane
 //! widths 1, 4 and 8, from varied playout prefixes, including batches with
-//! terminal roots mixed in.
+//! terminal roots mixed in. The shared chunk policy [`chunked_playouts`]
+//! (8-wide chunks, a 4-wide chunk, scalar remainder) is checked at every
+//! slice length 0..=19 on Reversi (lane engine) and Hex 11×11 (scalar
+//! route).
 
 use pmcts_games::{
-    interleaved_lane_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player,
-    Reversi, TicTacToe,
+    chunked_playouts, interleaved_lane_playouts, random_playout, Connect4, Game, Hex11, Hex7,
+    LaneBatch, Player, Reversi, TicTacToe,
 };
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -73,6 +76,46 @@ fn check_game_at_all_widths<G: Game>(base_seed: u64, max_prefix: u32) {
         std::array::from_fn(|i| seeds8[i]),
     );
     assert_batch_matches_scalar::<G, 8>(roots8, seeds8);
+}
+
+/// Asserts the chunk policy's contract at every slice length 0..=19: the
+/// helper's results and final RNG states equal per-element scalar
+/// playouts, with roots drawn from mixed prefixes of one game.
+fn check_chunked_at_all_lengths<G: Game>(base_seed: u64, max_prefix: u32) {
+    for len in 0..=19usize {
+        let roots: Vec<G> = (0..len)
+            .map(|i| {
+                let plies = (base_seed.wrapping_add(i as u64) % (max_prefix as u64 + 1)) as u32;
+                advance(G::initial(), plies, base_seed ^ i as u64)
+            })
+            .collect();
+        let seed_of = |i: usize| base_seed.wrapping_mul(17).wrapping_add(i as u64);
+        let mut rngs: Vec<Xoshiro256pp> = (0..len).map(|i| Xoshiro256pp::new(seed_of(i))).collect();
+        let mut results = Vec::new();
+        chunked_playouts(&roots, &mut rngs, |r| results.push(r));
+        assert_eq!(
+            results.len(),
+            len,
+            "{} len {len}: one result per root",
+            G::NAME
+        );
+        for i in 0..len {
+            let mut rng = Xoshiro256pp::new(seed_of(i));
+            let scalar = random_playout(roots[i], &mut rng);
+            assert_eq!(
+                results[i],
+                scalar,
+                "{} len {len} element {i}: result diverged from scalar playout",
+                G::NAME
+            );
+            assert_eq!(
+                rngs[i],
+                rng,
+                "{} len {len} element {i}: final RNG state diverged",
+                G::NAME
+            );
+        }
+    }
 }
 
 proptest! {
@@ -134,6 +177,14 @@ proptest! {
             std::array::from_fn(|i| Xoshiro256pp::new(seed.wrapping_add(i as u64)));
         let (bit_parallel, _) = LaneBatch::new(roots, batch).run_with_rngs();
         prop_assert_eq!(interleaved, bit_parallel);
+    }
+}
+
+#[test]
+fn chunked_playouts_match_scalar_at_every_length() {
+    for seed in [1u64, 2, 3] {
+        check_chunked_at_all_lengths::<Reversi>(seed, 50);
+        check_chunked_at_all_lengths::<Hex11>(seed, 100);
     }
 }
 

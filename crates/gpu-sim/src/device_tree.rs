@@ -382,8 +382,9 @@ mod tests {
     #[test]
     fn trace_settles_divergence_over_summed_lanes() {
         // Two lanes in one warp (scalar spec has warp_size 1; use a wider
-        // hand-built spec): lane 0 runs 10+30 steps, lane 1 runs 20+20.
-        // The warp pays max(tree)=20? No: maxima are per-category sums.
+        // hand-built spec): lane 0 runs 10 tree + 30 playout steps, lane 1
+        // 20 + 20. Each category settles over the lanes' summed steps, so
+        // the warp pays max(tree) = 20 and max(playout) = 30.
         let mut dev = DeviceSpec::scalar();
         dev.warp_size = 2;
         dev.sm_count = 2;
