@@ -18,7 +18,9 @@
 //! paper's ceiling — the three paper series are computed exactly as
 //! before and stay bit-identical.
 //!
-//! Run: `cargo run --release -p pmcts-bench --bin fig5_speed -- [--full]`
+//! Run: `cargo run --release -p pmcts-bench --bin fig5_speed -- [--full]
+//! [--host-threads N]`. `--host-threads` sizes the simulator's host worker
+//! pool (default 2); every series is byte-identical for any N.
 
 use pmcts_bench::{midgame_position, print_series, BenchArgs};
 use pmcts_core::prelude::*;
@@ -46,7 +48,7 @@ fn geometry(total_threads: u32, block_size: u32) -> LaunchConfig {
 
 fn main() {
     let args = BenchArgs::parse();
-    let device = Device::c2050();
+    let device = Device::c2050().with_host_threads(args.host_threads_or(2));
     let position = midgame_position(args.seed, 20);
     let iters = if args.full { 12 } else { 5 };
     let budget = SearchBudget::Iterations(iters);

@@ -7,7 +7,7 @@
 //! every iteration pays a full launch + transfer wave. The device-resident
 //! scheme moves the trees into GPU global memory (DESIGN.md §13): a
 //! *persistent* kernel runs complete MCTS iterations per lane — UCB
-//! descent, expansion via the device allocator, playout, backprop — and
+//! descent, expansion into the tree arena, playout, backprop — and
 //! the host's per-iteration work collapses to nothing. Upload is charged
 //! once per search (the root-state delta); readback once per launch (the
 //! root-child statistics); the `select`/`expand` telemetry phases are
@@ -29,15 +29,18 @@
 //! bit-identical for any `--host-threads` (the oracle tests below replay
 //! the per-block order with scalar playouts on the host reference path).
 //!
-//! Cost accounting lives in [`pmcts_gpu_sim::device_tree`]: warp
-//! divergence settles once over each lane's *summed* steps (a lane
-//! finishing a short playout immediately starts its next iteration), tree
-//! steps are priced at the cheaper in-kernel tree-walk constant, and the
-//! trees never leave the device between rounds or launches.
+//! Launches are priced by [`price_resident_launch`] on the executor's
+//! device model: warp divergence settles once over each lane's *summed*
+//! steps (a lane finishing a short playout immediately starts its next
+//! iteration), tree steps are priced at the cheaper in-kernel tree-walk
+//! constant, and the trees never leave the device between rounds or
+//! launches. The trees' arenas are the device node pool; nothing mirrors
+//! them.
 //!
-//! Fault policy (matrix row `device_tree`): a slowdown stretches device
-//! time; an aborted block skips the launch (its tree receives nothing); a
-//! kernel hang costs the detection deadline and is retried once — a
+//! Fault policy (matrix row `device_tree`): slowdowns and block aborts take
+//! the shared wave overlay — a slowdown stretches device time, an aborted
+//! block skips the launch (its tree receives nothing). Only the hang is
+//! bespoke: it costs the detection deadline and is retried once — a
 //! second hang abandons the device for the move and falls back to the
 //! host-driven block-parallel loop on the same resident trees.
 
@@ -45,10 +48,10 @@ use crate::block_parallel::BlockSession;
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::tree::SearchTree;
-use crate::wave::{Ledger, WaveDriver};
+use crate::wave::{charge_serial, void_of, Ledger, WaveDriver};
 use pmcts_games::{chunked_playouts, Game, Player, PlayoutResult};
 use pmcts_gpu_sim::{
-    Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
+    price_resident_launch, Device, DeviceTreeSpec, GpuFault, KernelStats, LaunchConfig,
 };
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
 
@@ -78,10 +81,6 @@ pub struct DeviceTreeSearcher<G: Game> {
 struct BlockRun {
     /// Per-lane `(tree_steps, playout_steps)` summed over the rounds.
     per_lane: Vec<(u64, u64)>,
-    /// Fresh node slots claimed, in allocation order.
-    fresh: Vec<u32>,
-    /// Expansions that recycled an evicted slot in place (bounded trees).
-    recycled: u64,
     sims: u64,
     expansions: u64,
 }
@@ -109,12 +108,11 @@ impl<G: Game> DeviceTreeSearcher<G> {
         self.resident = None;
     }
 
-    /// Re-roots the resident trees at `root` (falling back to cold trees
-    /// where the position is not found) and mirrors each into a fresh
-    /// device allocator adopting the compacted live prefix.
-    fn prepare(&mut self, root: G) -> (Vec<SearchTree<G>>, Vec<DeviceAllocator>) {
+    /// Re-roots the resident trees at `root`, falling back to cold trees
+    /// where the position is not found.
+    fn prepare(&mut self, root: G) -> Vec<SearchTree<G>> {
         let blocks = self.trees() as usize;
-        let trees: Vec<SearchTree<G>> = match self.resident.take() {
+        match self.resident.take() {
             Some(old) if old.len() == blocks => old
                 .into_iter()
                 .map(|t| t.reroot(root, &self.config))
@@ -122,17 +120,7 @@ impl<G: Game> DeviceTreeSearcher<G> {
             _ => (0..blocks)
                 .map(|_| SearchTree::for_config(root, &self.config))
                 .collect(),
-        };
-        let allocs = trees
-            .iter()
-            .map(|t| {
-                DeviceAllocator::with_live_prefix(
-                    t.capacity().unwrap_or(u32::MAX),
-                    t.live_nodes() as u32,
-                )
-            })
-            .collect();
-        (trees, allocs)
+        }
     }
 
     /// Rounds to plan into the next persistent launch: everything that is
@@ -161,10 +149,10 @@ impl<G: Game> DeviceTreeSearcher<G> {
 const GROUP: usize = 8;
 
 /// Descent half of one in-kernel MCTS iteration for one lane: UCB descent
-/// and expansion (pick drawn from the lane RNG), with the allocator
-/// bookkeeping. Returns the frontier node and the lane's tree steps for the
-/// iteration — `depth+1` node reads for the descent, one allocator claim,
-/// `depth+1` updates for the backprop walk [`land`] performs.
+/// and expansion (pick drawn from the lane RNG) into the tree arena.
+/// Returns the frontier node and the lane's tree steps for the iteration —
+/// `depth+1` node reads for the descent, one arena slot claim, `depth+1`
+/// updates for the backprop walk [`land`] performs.
 fn descend<G: Game>(
     tree: &mut SearchTree<G>,
     rng: &mut Xoshiro256pp,
@@ -176,17 +164,8 @@ fn descend<G: Game>(
     let untried = tree.untried_len(sel);
     let node = if untried > 0 {
         let pick = rng.next_below(untried as u32);
-        let live_before = tree.live_nodes();
-        let id = tree.expand_with_pick(sel, pick);
-        if tree.live_nodes() > live_before {
-            run.fresh.push(id);
-        } else {
-            // Bounded tree at capacity: the expansion evicted an LRU leaf
-            // and reused its slot in place.
-            run.recycled += 1;
-        }
         run.expansions += 1;
-        id
+        tree.expand_with_pick(sel, pick)
     } else {
         sel
     };
@@ -290,76 +269,60 @@ fn run_group<G: Game>(
 }
 
 /// Runs `rounds` rounds of the persistent kernel over every block's tree
-/// (lock-step groups of [`GROUP`] blocks fan out over the pool; each block
-/// is internally sequential: rounds outer, lanes inner). Folds traces,
-/// allocator mirroring and counters in block order, prices the launch, and
-/// returns `(stats, simulations, expansions)`.
-#[allow(clippy::too_many_arguments)]
+/// on `driver`'s device (lock-step groups of [`GROUP`] blocks fan out over
+/// its pool; each block is internally sequential: rounds outer, lanes
+/// inner). Folds step counts and counters in block order, prices the
+/// launch under `fault`, and returns `(stats, simulations, expansions)`.
 fn run_rounds<G: Game>(
     trees: &mut [SearchTree<G>],
-    allocs: &mut [DeviceAllocator],
-    pool: &WorkerPool,
-    launch: LaunchConfig,
-    device: &Device,
+    driver: &WaveDriver,
     rounds: u64,
     seed: u64,
     exploration_c: f64,
     voided: Option<usize>,
-) -> (pmcts_gpu_sim::KernelStats, u64, u64) {
+    fault: GpuFault,
+) -> (KernelStats, u64, u64) {
+    let launch = driver.launch_config();
     let tpb = launch.threads_per_block as usize;
     let mut groups: Vec<&mut [SearchTree<G>]> = trees.chunks_mut(GROUP).collect();
-    let runs: Vec<BlockRun> = pool
+    let runs: Vec<BlockRun> = driver
+        .device()
+        .worker_pool()
         .map_indexed(&mut groups, |g, group| {
             run_group(group, g * GROUP, tpb, rounds, seed, exploration_c, voided)
         })
         .into_iter()
         .flatten()
         .collect();
-
-    let mut sims = 0u64;
-    let mut expansions = 0u64;
-    let mut lanes = Vec::with_capacity(runs.len());
-    for (b, run) in runs.into_iter().enumerate() {
-        for &slot in &run.fresh {
-            assert!(
-                allocs[b].claim(slot),
-                "device allocator rejected shadow-tree slot {slot}"
-            );
-        }
-        allocs[b].note_recycled(run.recycled);
-        debug_assert_eq!(
-            allocs[b].live() as usize,
-            trees[b].live_nodes(),
-            "device allocator drifted from the shadow tree"
-        );
-        sims += run.sims;
-        expansions += run.expansions;
-        lanes.push(run.per_lane);
-    }
+    let sims = runs.iter().map(|run| run.sims).sum();
+    let expansions = runs.iter().map(|run| run.expansions).sum();
+    let lanes: Vec<_> = runs.into_iter().map(|run| run.per_lane).collect();
 
     let tree_spec = DeviceTreeSpec::c2050_resident();
-    let readback_bytes: u64 = trees
+    let root_children: u64 = trees
         .iter()
         .map(|t| t.children(t.root()).len() as u64)
-        .sum::<u64>()
-        * tree_spec.root_stat_bytes;
-    let trace = TreeLaunchTrace::from_lanes(launch.threads_per_block, lanes);
-    let stats = trace.finish(&tree_spec, device.spec(), &launch, readback_bytes);
+        .sum();
+    let readback_bytes = root_children * tree_spec.root_stat_bytes;
+    let spec = driver.device().spec();
+    let stats = price_resident_launch(&lanes, &tree_spec, spec, &launch, readback_bytes, fault);
     (stats, sims, expansions)
 }
 
 impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let (mut trees, mut allocs) = self.prepare(root);
+        let mut trees = self.prepare(root);
         let mut ledger = Ledger::new(budget);
         let cpu = self.config.cpu_cost;
-        let device = self.driver.device().clone();
-        let launch = self.driver.launch_config();
-        let pool = std::sync::Arc::clone(device.worker_pool());
         let exploration_c = self.config.exploration_c;
-        let plan = self.config.faults;
 
-        let mut uploaded = false;
+        // The root state delta: uploaded with the first launch only.
+        let mut root_delta = Some(
+            self.driver
+                .device()
+                .spec()
+                .transfer_time(G::device_state_bytes() as u64),
+        );
         let mut last_round_cost = SimTime::ZERO;
         // Hang deadlines accrued before any round could complete; folded
         // into the next charged iteration so the ledger stays exact.
@@ -377,20 +340,16 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 // the detection deadline off the launch's nominal elapsed
                 // time (computed on clones; the resident trees are
                 // untouched), then retry once with a fresh epoch.
-                let mut dry_trees = trees.clone();
-                let mut dry_allocs = allocs.clone();
                 let (stats, _, _) = run_rounds(
-                    &mut dry_trees,
-                    &mut dry_allocs,
-                    &pool,
-                    launch,
-                    &device,
+                    &mut trees.clone(),
+                    &self.driver,
                     rounds,
                     seed,
                     exploration_c,
                     None,
+                    fault,
                 );
-                let deadline = plan.hang_deadline(stats.elapsed());
+                let deadline = self.config.faults.hang_deadline(stats.elapsed());
                 phases.kernel += deadline;
                 pending_fault_cost += deadline;
                 phases.faults.injected += 1;
@@ -409,7 +368,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                     trees,
                     self.rng.clone(),
                     ledger,
-                    launch.threads_per_block as usize,
+                    self.driver.launch_config().threads_per_block as usize,
                 );
                 self.driver.run_owing(&mut engine, pending_fault_cost);
                 self.rng = engine.rng;
@@ -419,45 +378,27 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             }
             hang_retried = false;
 
-            let voided = match fault {
-                GpuFault::BlockAbort(bad) => {
-                    phases.faults.injected += 1;
-                    phases.faults.degraded += 1;
-                    Some(bad as usize % launch.blocks as usize)
-                }
-                _ => None,
-            };
-
-            let (mut stats, sims, expansions) = run_rounds(
+            let voided = void_of(fault, phases);
+            let (stats, sims, expansions) = run_rounds(
                 &mut trees,
-                &mut allocs,
-                &pool,
-                launch,
-                &device,
+                &self.driver,
                 rounds,
                 seed,
                 exploration_c,
                 voided,
+                fault,
             );
-            if let GpuFault::Slowdown(factor) = fault {
-                stats.device_time = stats.device_time * factor.max(1) as u64;
-                phases.faults.injected += 1;
-            }
 
             // Exact ledger: launch prep + (first launch only) the root
             // state delta to the upload phase; overhead + device time to
             // the kernel phase; root-stat readback to the readback phase.
-            let mut total = stats.elapsed() + cpu.launch_prep + pending_fault_cost;
+            let mut total = charge_serial(phases, &stats) + cpu.launch_prep + pending_fault_cost;
             pending_fault_cost = SimTime::ZERO;
             phases.upload += cpu.launch_prep;
-            if !uploaded {
-                uploaded = true;
-                let delta = device.spec().transfer_time(G::device_state_bytes() as u64);
+            if let Some(delta) = root_delta.take() {
                 phases.upload += delta;
                 total += delta;
             }
-            phases.kernel += stats.launch_overhead + stats.device_time;
-            phases.readback += stats.readback_time;
             phases.record_launch(&stats);
             phases.simulations += sims;
             phases.expansions += expansions;
@@ -493,6 +434,7 @@ mod tests {
     use crate::block_parallel::BlockParallelSearcher;
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_gpu_sim::DeviceSpec;
+    use pmcts_util::FaultPlan;
 
     fn device() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
@@ -584,22 +526,15 @@ mod tests {
             let mut trees: Vec<SearchTree<Reversi>> = (0..blocks)
                 .map(|_| SearchTree::for_config(Reversi::initial(), &config))
                 .collect();
-            let mut allocs: Vec<DeviceAllocator> = trees
-                .iter()
-                .map(|t| DeviceAllocator::with_live_prefix(u32::MAX, t.live_nodes() as u32))
-                .collect();
             let dev = Device::new(DeviceSpec::tesla_c2050()).with_host_threads(2);
-            let pool = std::sync::Arc::clone(dev.worker_pool());
             let (_, sims, _) = run_rounds(
                 &mut trees,
-                &mut allocs,
-                &pool,
-                launch,
-                &dev,
+                &WaveDriver::new(&config, dev, launch, 0),
                 rounds,
                 launch_seed,
                 config.exploration_c,
                 Some(voided),
+                GpuFault::BlockAbort(voided as u32),
             );
             assert_eq!(sims, rounds * (blocks as u64 - 1) * 32, "one block voided");
             let reference = reference_images(&config, launch, rounds, launch_seed, Some(voided));
@@ -609,7 +544,6 @@ mod tests {
                     reference[b],
                     "{blocks} blocks: block {b} diverged from the host reference"
                 );
-                assert_eq!(allocs[b].live() as usize, tree.live_nodes());
             }
             assert_eq!(trees[voided].live_nodes(), 1, "voided tree untouched");
         }
@@ -667,6 +601,71 @@ mod tests {
         let trees = s.resident.as_ref().unwrap();
         assert!(trees.iter().all(|t| t.evictions() > 0));
         assert_eq!(r.phases.phase_sum(), r.elapsed);
+    }
+
+    #[test]
+    fn resident_arenas_stay_whole_across_moves_and_faults() {
+        // The tree arenas are the device node pool. After every search of a
+        // four-move game, each resident bounded tree must stay within its
+        // capacity with its LRU list, free list and child links consistent
+        // (no slot both live and free). Fault-free, and under the mixed
+        // plan of `engine_determinism.rs` (`mixed_plan(68)`: a hang, then
+        // a `BlockAbort` on the retry).
+        let mixed = FaultPlan {
+            seed: 68,
+            gpu_slowdown_rate: 0.2,
+            gpu_slowdown_factor: 3,
+            gpu_hang_rate: 0.2,
+            gpu_abort_rate: 0.2,
+            net_delay_rate: 0.5,
+            net_delay_factor: 3,
+            net_drop_rate: 0.3,
+            dead_component_rate: 0.3,
+            ..FaultPlan::none()
+        };
+        for plan in [FaultPlan::none(), mixed] {
+            let capacity = 64;
+            let config = cfg(74).with_tree_capacity(capacity).with_faults(plan);
+            let mut s =
+                DeviceTreeSearcher::<Reversi>::new(config, device(), LaunchConfig::new(11, 32));
+            let mut position = Reversi::initial();
+            let (mut reused, mut retried, mut degraded) = (0, 0, 0);
+            for _ in 0..4 {
+                let r = s.search(position, SearchBudget::Iterations(3));
+                retried += r.phases.faults.retried;
+                degraded += r.phases.faults.degraded;
+                reused +=
+                    u64::from(r.root_stats.iter().map(|st| st.visits).sum::<u64>() > r.simulations);
+                let trees = s.resident.as_ref().expect("trees stay resident");
+                for tree in trees {
+                    tree.debug_validate();
+                    assert!(
+                        tree.live_nodes() <= capacity as usize,
+                        "arena over capacity"
+                    );
+                }
+                // Our move and the reply: two plies down tree 0's most
+                // visited line, so the next search re-roots into it.
+                let tree = &trees[0];
+                let most_visited = |id| {
+                    tree.children(id)
+                        .iter()
+                        .copied()
+                        .max_by_key(|&c| tree.visits(c))
+                };
+                let ours = most_visited(tree.root()).expect("root expanded");
+                position = *tree.state(most_visited(ours).unwrap_or(ours));
+            }
+            assert!(
+                reused >= 3,
+                "the later searches re-root into resident trees"
+            );
+            assert_eq!(
+                (retried > 0, degraded > 0),
+                (plan.gpu_active(), plan.gpu_active()),
+                "a hang is retried and a block voided under the mixed plan only"
+            );
+        }
     }
 
     #[test]

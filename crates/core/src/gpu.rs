@@ -11,7 +11,7 @@
 //! ("the results are written to an array in the GPU's memory (0 = loss,
 //! 1 = victory)") generalised to carry draws.
 
-use pmcts_games::{chunked_playouts, random_playout, Game, Outcome, Player};
+use pmcts_games::{chunked_playouts, Game, Outcome, Player};
 use pmcts_gpu_sim::{Kernel, ThreadId};
 use pmcts_util::Xoshiro256pp;
 
@@ -121,29 +121,13 @@ impl<G: Game> Kernel for PlayoutKernel<G> {
         1
     }
 
-    /// Fused lane: one allocation-free [`random_playout`] instead of the
-    /// `init`/`step` state machine, drawing the identical RNG sequence.
-    ///
-    /// Step equivalence (checked against the lockstep oracle by the
-    /// equivalence suite): each `step` call applies exactly one ply and the
-    /// call that applies the final ply reports completion, so a playout of
-    /// `p ≥ 1` plies takes `p` steps; a terminal root takes the single
-    /// entry-check step.
-    fn run_lane(&self, tid: ThreadId) -> (LaneOutcome, u64) {
-        let root = self.roots[tid.block as usize % self.roots.len()];
-        let mut rng = Xoshiro256pp::derive(self.stream_seed, tid.global as u64);
-        let result = random_playout(root, &mut rng);
-        let steps = (result.plies as u64).max(1);
-        (LaneOutcome::from_outcome(result.outcome), steps)
-    }
-
     /// Batched lanes: the warp's playouts run through
-    /// [`chunked_playouts`], so whenever the game's lane engine is a
-    /// measured win ([`Game::LANE_ENGINE`]) they advance as lane batches
-    /// and the bit-parallel hot loop runs. A pure wall-clock optimisation:
-    /// every lane keeps its own derived RNG stream and step count, so
-    /// outputs are bit-identical to the scalar [`run_lane`](Kernel::run_lane)
-    /// path the lockstep oracle checks.
+    /// [`chunked_playouts`], so they advance as lane batches and Reversi's
+    /// bit-parallel hot loop runs. A pure wall-clock optimisation: every
+    /// lane keeps its own derived RNG stream, and a playout of `p ≥ 1`
+    /// plies reports `p` steps (a terminal root the single entry-check
+    /// step), so outputs and step counts are bit-identical to the
+    /// `init`/`step`/`finish` state machine the lockstep oracle drives.
     fn run_lanes(&self, tids: &[ThreadId], out: &mut Vec<(LaneOutcome, u64)>) {
         let roots: Vec<G> = tids
             .iter()

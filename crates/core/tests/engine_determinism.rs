@@ -180,8 +180,8 @@ fn hex11_searches_identical_across_host_threads_and_pinned() {
     // (fault-matrix + arena entries): the generic engines must be
     // host-thread-invariant on the branchier non-Reversi game too, and the
     // fingerprints are pinned so future lane-engine changes can't drift
-    // them (Hex opts out of lane batching — `Game::LANE_ENGINE` is false —
-    // so these pin the scalar `run_lanes` fallback path).
+    // them (Hex has no bit-parallel lane engine, so these pin the
+    // per-lane scalar default of `Game::lane_playouts`).
     type Build = fn(usize) -> Box<dyn Searcher<Hex11>>;
     fn leaf(t: usize) -> Box<dyn Searcher<Hex11>> {
         Box::new(LeafParallelSearcher::new(

@@ -1,6 +1,7 @@
 //! Criterion microbenches for the multi-lane playout engine (DESIGN.md §15):
 //! scalar `random_playout` vs `LaneBatch` at widths 4 and 8, on Reversi
-//! (bit-parallel lane kernels) and Hex11 (generic interleaved engine).
+//! (bit-parallel lane kernels) and Hex11 (the default `lane_playouts`, one
+//! scalar playout per lane, so its lane numbers should track scalar).
 //!
 //! Throughput is reported per *playout*, so a lane width is a win exactly
 //! when its number beats the scalar bench's.

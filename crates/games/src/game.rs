@@ -86,16 +86,6 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     /// Upper bound on plies from any reachable state to a terminal state.
     const MAX_GAME_LENGTH: usize;
 
-    /// Whether [`lane_playouts`](Game::lane_playouts) is a measured
-    /// wall-clock win over scalar playouts for this game.
-    /// [`chunked_playouts`](crate::playout::chunked_playouts) only routes
-    /// through lane batches when this is set, for both of its callers: the
-    /// playout kernel's warps and the resident-tree kernel's lock-step
-    /// block groups. Games on the generic interleaved engine keep the
-    /// scalar path (the round-robin bookkeeping costs more than its ILP
-    /// buys there).
-    const LANE_ENGINE: bool = false;
-
     /// The initial position.
     fn initial() -> Self;
 
@@ -186,10 +176,12 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     /// drawing from `rngs[i]`, and returns the per-lane results.
     ///
     /// This is the batch entry point behind
-    /// [`LaneBatch`](crate::playout::LaneBatch). The default is the
-    /// interleaved scalar engine; games with bit-parallel kernels
-    /// (Reversi) override it to advance all lanes through straight-line
-    /// bitboard code. **Overrides must be bit-identical to `N` scalar
+    /// [`LaneBatch`](crate::playout::LaneBatch). The default plays the
+    /// lanes one after another with
+    /// [`random_playout`](crate::playout::random_playout); games with
+    /// bit-parallel kernels (Reversi) override it to advance all lanes
+    /// through straight-line bitboard code. **Overrides must be
+    /// bit-identical to `N` scalar
     /// [`random_playout`](crate::playout::random_playout) calls** — same
     /// results, same per-lane RNG draw sequences, same ply counts — so
     /// lane batching never changes virtual-time results (DESIGN.md §15).
@@ -198,7 +190,7 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
         roots: &[Self; N],
         rngs: &mut [R; N],
     ) -> [crate::playout::PlayoutResult; N] {
-        crate::playout::interleaved_lane_playouts(roots, rngs)
+        std::array::from_fn(|i| crate::playout::random_playout(roots[i], &mut rngs[i]))
     }
 }
 

@@ -29,9 +29,7 @@ pub mod zobrist;
 pub use connect4::Connect4;
 pub use game::{Game, MoveBuf, Outcome, Player};
 pub use hex::{Hex, Hex11, Hex5, Hex7};
-pub use playout::{
-    chunked_playouts, interleaved_lane_playouts, random_playout, LaneBatch, PlayoutResult,
-};
+pub use playout::{chunked_playouts, random_playout, LaneBatch, PlayoutResult};
 pub use policy::{policy_playout, PlayoutPolicy, ReversiCornerPolicy, UniformPolicy};
 pub use reversi::{Reversi, ReversiMove};
 pub use tictactoe::TicTacToe;

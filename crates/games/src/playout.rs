@@ -90,8 +90,8 @@ impl<G: Game, const N: usize> LaneBatch<G, N> {
     }
 
     /// Runs every lane to completion via the game's lane engine
-    /// ([`Game::lane_playouts`] — bit-parallel for Reversi, interleaved
-    /// scalar otherwise).
+    /// ([`Game::lane_playouts`] — bit-parallel for Reversi, one scalar
+    /// playout per lane otherwise).
     pub fn run(mut self) -> [PlayoutResult; N] {
         G::lane_playouts(&self.roots, &mut self.rngs)
     }
@@ -110,11 +110,11 @@ impl<G: Game, const N: usize> LaneBatch<G, N> {
 ///
 /// The one chunk policy every lane-engine caller shares (the playout
 /// kernel's warps, the resident-tree kernel's lock-step block groups):
-/// when the game's lane engine is a measured win ([`Game::LANE_ENGINE`]),
 /// 8-wide [`Game::lane_playouts`] chunks, then one 4-wide chunk, then
-/// scalar [`random_playout`] for the remainder; otherwise scalar
-/// throughout. Bit-identical to per-element [`random_playout`] calls —
-/// results *and* final RNG states (DESIGN.md §15).
+/// scalar [`random_playout`] for the remainder. Games without a lane
+/// engine play every chunk lane by lane. Bit-identical to per-element
+/// [`random_playout`] calls — results *and* final RNG states (DESIGN.md
+/// §15).
 ///
 /// # Panics
 /// Panics if `roots` and `rngs` differ in length.
@@ -125,15 +125,13 @@ pub fn chunked_playouts<G: Game, R: Rng64>(
 ) {
     assert_eq!(roots.len(), rngs.len(), "one RNG stream per playout root");
     let mut done = 0;
-    if G::LANE_ENGINE {
-        while roots.len() - done >= 8 {
-            lane_chunk::<G, R, 8>(&roots[done..], &mut rngs[done..], &mut emit);
-            done += 8;
-        }
-        if roots.len() - done >= 4 {
-            lane_chunk::<G, R, 4>(&roots[done..], &mut rngs[done..], &mut emit);
-            done += 4;
-        }
+    while roots.len() - done >= 8 {
+        lane_chunk::<G, R, 8>(&roots[done..], &mut rngs[done..], &mut emit);
+        done += 8;
+    }
+    if roots.len() - done >= 4 {
+        lane_chunk::<G, R, 4>(&roots[done..], &mut rngs[done..], &mut emit);
+        done += 4;
     }
     for (root, rng) in roots[done..].iter().zip(&mut rngs[done..]) {
         emit(random_playout(*root, rng));
@@ -151,85 +149,9 @@ fn lane_chunk<G: Game, R: Rng64, const N: usize>(
     G::lane_playouts(roots, rngs).into_iter().for_each(emit);
 }
 
-/// The generic interleaved lane engine — the default body of
-/// [`Game::lane_playouts`].
-///
-/// Round-robin: each pass advances every unfinished lane by one ply via
-/// [`Game::random_move_with`] on that lane's own buffer and RNG. Because
-/// the lanes' RNG streams are independent, interleaving plies across lanes
-/// is trivially bit-identical to running the lanes one after another; the
-/// win is instruction-level parallelism from `N` independent
-/// move-gen/apply dependency chains in flight at once.
-///
-/// # Panics
-/// Panics if any lane exceeds [`Game::MAX_GAME_LENGTH`] plies, exactly
-/// like [`random_playout`].
-pub fn interleaved_lane_playouts<G: Game, R: Rng64, const N: usize>(
-    roots: &[G; N],
-    rngs: &mut [R; N],
-) -> [PlayoutResult; N] {
-    let mut states = *roots;
-    let mut bufs: [MoveBuf<G::Move>; N] = std::array::from_fn(|_| MoveBuf::new());
-    let mut plies = [0u32; N];
-    let mut results: [Option<PlayoutResult>; N] = [None; N];
-    let mut live = N;
-    while live > 0 {
-        for i in 0..N {
-            if results[i].is_some() {
-                continue;
-            }
-            match states[i].random_move_with(&mut rngs[i], &mut bufs[i]) {
-                Some(mv) => {
-                    states[i].apply(mv);
-                    plies[i] += 1;
-                    assert!(
-                        plies[i] as usize <= G::MAX_GAME_LENGTH,
-                        "{} playout exceeded MAX_GAME_LENGTH={}",
-                        G::NAME,
-                        G::MAX_GAME_LENGTH
-                    );
-                }
-                None => {
-                    let outcome = states[i]
-                        .outcome()
-                        .expect("state without a legal move is terminal");
-                    results[i] = Some(PlayoutResult {
-                        outcome,
-                        plies: plies[i],
-                        final_score: states[i].score(),
-                    });
-                    live -= 1;
-                }
-            }
-        }
-    }
-    results.map(|r| r.expect("all lanes ran to completion"))
-}
-
-/// Runs `n` playouts and returns the number of wins for `perspective`
-/// (draws count ½, accumulated as f64) along with total plies.
-///
-/// This is the work a leaf-parallel GPU kernel performs for one tree node.
-pub fn batch_playouts<G: Game, R: Rng64>(
-    state: G,
-    perspective: Player,
-    n: u32,
-    rng: &mut R,
-) -> (f64, u64) {
-    let mut wins = 0.0;
-    let mut total_plies = 0u64;
-    for _ in 0..n {
-        let r = random_playout(state, rng);
-        wins += r.reward_for(perspective);
-        total_plies += r.plies as u64;
-    }
-    (wins, total_plies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connect4::Connect4;
     use crate::reversi::Reversi;
     use crate::tictactoe::TicTacToe;
     use pmcts_util::Xoshiro256pp;
@@ -274,29 +196,5 @@ mod tests {
                 Outcome::Draw => assert_eq!(r.final_score, 0),
             }
         }
-    }
-
-    #[test]
-    fn batch_playouts_accumulate() {
-        let mut rng = Xoshiro256pp::new(5);
-        let (wins, plies) = batch_playouts(Connect4::initial(), Player::P1, 64, &mut rng);
-        assert!((0.0..=64.0).contains(&wins));
-        assert!(plies >= 64 * 7, "connect4 needs ≥7 plies per game");
-        // First-player advantage in random Connect-4 is well documented;
-        // just sanity-check the result is not degenerate.
-        assert!(wins > 16.0 && wins < 56.0, "wins={wins}");
-    }
-
-    #[test]
-    fn reversi_reward_is_balanced_ish() {
-        // Uniformly random Reversi is near-balanced; check P1 reward is not
-        // degenerate (this also guards against perspective bugs).
-        let mut rng = Xoshiro256pp::new(6);
-        let (wins, _) = batch_playouts(Reversi::initial(), Player::P1, 400, &mut rng);
-        let ratio = wins / 400.0;
-        assert!(
-            (0.35..0.75).contains(&ratio),
-            "P1 win ratio {ratio} out of plausible range"
-        );
     }
 }

@@ -189,10 +189,6 @@ impl Game for Reversi {
     // size simulated-GPU thread state.
     const MAX_GAME_LENGTH: usize = 128;
 
-    // The bit-parallel `lane_playouts` below measures ~3x scalar at width
-    // 8 (see `games/benches/playout_lanes.rs`), so warps should batch.
-    const LANE_ENGINE: bool = true;
-
     fn initial() -> Self {
         // d4 = White, e4 = Black, d5 = Black, e5 = White; Black to move.
         Self::from_bitboards(

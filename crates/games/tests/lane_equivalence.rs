@@ -9,16 +9,16 @@
 //! fixed seed).
 //!
 //! Covered engines: Reversi (bit-parallel `lane_playouts` override),
-//! Connect-4 / Tic-Tac-Toe / Hex (generic interleaved default), at lane
+//! Connect-4 / Tic-Tac-Toe / Hex (the per-lane scalar default), at lane
 //! widths 1, 4 and 8, from varied playout prefixes, including batches with
 //! terminal roots mixed in. The shared chunk policy [`chunked_playouts`]
 //! (8-wide chunks, a 4-wide chunk, scalar remainder) is checked at every
-//! slice length 0..=19 on Reversi (lane engine) and Hex 11×11 (scalar
-//! route).
+//! slice length 0..=19 on Reversi (bit-parallel chunks) and Hex 11×11
+//! (default chunks).
 
 use pmcts_games::{
-    chunked_playouts, interleaved_lane_playouts, random_playout, Connect4, Game, Hex11, Hex7,
-    LaneBatch, Player, Reversi, TicTacToe,
+    chunked_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player, Reversi,
+    TicTacToe,
 };
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -162,21 +162,6 @@ proptest! {
             }
         }
         assert_batch_matches_scalar::<Reversi, 8>(roots, seeds);
-    }
-
-    #[test]
-    fn interleaved_engine_matches_scalar_directly(seed in any::<u64>()) {
-        // The generic interleaved engine is also Reversi-correct (the
-        // bit-parallel override must agree with it, and both with scalar).
-        let roots: [Reversi; 4] =
-            std::array::from_fn(|i| advance(Reversi::initial(), (i as u32) * 11, seed ^ i as u64));
-        let mut rngs: [Xoshiro256pp; 4] =
-            std::array::from_fn(|i| Xoshiro256pp::new(seed.wrapping_add(i as u64)));
-        let interleaved = interleaved_lane_playouts(&roots, &mut rngs);
-        let batch: [Xoshiro256pp; 4] =
-            std::array::from_fn(|i| Xoshiro256pp::new(seed.wrapping_add(i as u64)));
-        let (bit_parallel, _) = LaneBatch::new(roots, batch).run_with_rngs();
-        prop_assert_eq!(interleaved, bit_parallel);
     }
 }
 

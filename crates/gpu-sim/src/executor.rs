@@ -24,8 +24,15 @@
 //! per-step masked interpreter measured, at a fraction of the wall-clock
 //! cost. The interpreter is retained as [`execute_kernel_lockstep`], the
 //! oracle the equivalence test-suite checks the fast engine against.
-//! Blocks are distributed over a persistent [`WorkerPool`] and folded in
-//! block order, so results are bit-identical regardless of pool size.
+//! Blocks are distributed over a persistent [`WorkerPool`] with
+//! [`WorkerPool::map_indexed`] and folded in block order, so results are
+//! bit-identical regardless of pool size.
+//!
+//! **One grid fold.** Whatever a block ran, its cost reaches the device
+//! model as a `BlockCost` and `fold_costs` turns a grid of them into
+//! [`KernelStats`]: SM round-robin, busiest SM, launch overhead, readback.
+//! The device-resident tree kernel prices its persistent launches through
+//! the same fold ([`crate::device_tree::price_resident_launch`]).
 
 use crate::device::DeviceSpec;
 use crate::kernel::{Kernel, LaunchConfig, ThreadId};
@@ -33,17 +40,34 @@ use crate::launch::LaunchResult;
 use crate::pool::WorkerPool;
 use crate::stats::KernelStats;
 use pmcts_util::GpuFault;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+
+/// What one block cost the device: its cycles and the warp, lane and idle
+/// step counts of the lockstep accounting.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BlockCost {
+    pub(crate) cycles: u64,
+    pub(crate) warp_steps: u64,
+    pub(crate) lane_steps: u64,
+    pub(crate) idle_lane_steps: u64,
+}
+
+impl BlockCost {
+    /// Charges one warp of `lanes` lanes that ran `steps` lockstep steps
+    /// for `cycles` cycles, `useful` of its lane-steps doing work. The warp
+    /// runs until its slowest lane finishes; every step a finished lane
+    /// sits through is idle.
+    pub(crate) fn add_warp(&mut self, cycles: u64, steps: u64, useful: u64, lanes: u64) {
+        self.cycles += cycles;
+        self.warp_steps += steps;
+        self.lane_steps += useful;
+        self.idle_lane_steps += steps * lanes - useful;
+    }
+}
 
 /// Per-block simulation result, later folded into the launch result.
 struct BlockOutcome<O> {
-    block: u32,
     outputs: Vec<O>,
-    cycles: u64,
-    warp_steps: u64,
-    lane_steps: u64,
-    idle_lane_steps: u64,
+    cost: BlockCost,
 }
 
 /// Simulates one block by running every lane to completion and accounting
@@ -57,10 +81,7 @@ fn simulate_block<K: Kernel>(
     let tpb = config.threads_per_block;
     let warp = spec.warp_size;
     let mut outputs = Vec::with_capacity(tpb as usize);
-    let mut cycles = 0u64;
-    let mut warp_steps_total = 0u64;
-    let mut lane_steps_total = 0u64;
-    let mut idle_total = 0u64;
+    let mut cost = BlockCost::default();
 
     let mut tids: Vec<ThreadId> = Vec::with_capacity(warp as usize);
     let mut lane_results: Vec<(K::Output, u64)> = Vec::with_capacity(warp as usize);
@@ -94,24 +115,18 @@ fn simulate_block<K: Kernel>(
             max_steps = max_steps.max(steps);
             sum_steps += steps;
         }
-        // The warp runs until its slowest lane finishes; every step a
-        // finished lane sits through is idle — identical to what the masked
-        // lockstep interpreter counts step by step.
-        cycles += max_steps * spec.cycles_per_warp_step;
-        warp_steps_total += max_steps;
-        lane_steps_total += sum_steps;
-        idle_total += max_steps * lanes as u64 - sum_steps;
+        // Identical to what the masked lockstep interpreter counts step by
+        // step.
+        cost.add_warp(
+            max_steps * spec.cycles_per_warp_step,
+            max_steps,
+            sum_steps,
+            lanes as u64,
+        );
         warp_start += lanes;
     }
 
-    BlockOutcome {
-        block,
-        outputs,
-        cycles,
-        warp_steps: warp_steps_total,
-        lane_steps: lane_steps_total,
-        idle_lane_steps: idle_total,
-    }
+    BlockOutcome { outputs, cost }
 }
 
 /// Simulates one block with the per-step masked lockstep interpreter — the
@@ -125,10 +140,7 @@ fn simulate_block_lockstep<K: Kernel>(
     let tpb = config.threads_per_block;
     let warp = spec.warp_size;
     let mut outputs = Vec::with_capacity(tpb as usize);
-    let mut cycles = 0u64;
-    let mut warp_steps_total = 0u64;
-    let mut lane_steps_total = 0u64;
-    let mut idle_total = 0u64;
+    let mut cost = BlockCost::default();
 
     let mut lane_ids: Vec<ThreadId> = Vec::with_capacity(warp as usize);
     let mut states: Vec<Option<K::ThreadState>> = Vec::with_capacity(warp as usize);
@@ -172,11 +184,12 @@ fn simulate_block_lockstep<K: Kernel>(
             }
         }
 
-        cycles += steps_this_warp * spec.cycles_per_warp_step;
-        warp_steps_total += steps_this_warp;
-        let useful: u64 = lane_steps.iter().sum();
-        lane_steps_total += useful;
-        idle_total += steps_this_warp * lanes as u64 - useful;
+        cost.add_warp(
+            steps_this_warp * spec.cycles_per_warp_step,
+            steps_this_warp,
+            lane_steps.iter().sum(),
+            lanes as u64,
+        );
 
         for lane in 0..lanes as usize {
             let state = states[lane].take().expect("state present at finish");
@@ -185,53 +198,61 @@ fn simulate_block_lockstep<K: Kernel>(
         warp_start += lanes;
     }
 
-    BlockOutcome {
-        block,
-        outputs,
-        cycles,
-        warp_steps: warp_steps_total,
-        lane_steps: lane_steps_total,
-        idle_lane_steps: idle_total,
-    }
+    BlockOutcome { outputs, cost }
 }
 
-/// Folds per-block outcomes (sorted by block id) into the launch result:
-/// round-robin block→SM assignment, device time = busiest SM.
-fn fold_outcomes<K: Kernel>(
-    kernel: &K,
+/// The one grid fold: per-block costs, in block order, become the
+/// launch's [`KernelStats`]. Blocks are assigned to SMs round-robin, an
+/// SM's cycles are the sum of its blocks, device time is the busiest SM;
+/// `readback_bytes` prices the device→host readback.
+pub(crate) fn fold_costs(
+    costs: impl IntoIterator<Item = BlockCost>,
     config: &LaunchConfig,
     spec: &DeviceSpec,
-    mut block_outcomes: Vec<BlockOutcome<K::Output>>,
-) -> LaunchResult<K::Output> {
-    block_outcomes.sort_by_key(|o| o.block);
-
+    readback_bytes: u64,
+) -> KernelStats {
     let mut per_sm_cycles = vec![0u64; spec.sm_count as usize];
-    let mut warp_steps = 0u64;
-    let mut lane_steps = 0u64;
-    let mut idle_lane_steps = 0u64;
-    let mut outputs = Vec::with_capacity(config.total_threads() as usize);
-    for outcome in block_outcomes {
-        per_sm_cycles[(outcome.block % spec.sm_count) as usize] += outcome.cycles;
-        warp_steps += outcome.warp_steps;
-        lane_steps += outcome.lane_steps;
-        idle_lane_steps += outcome.idle_lane_steps;
-        outputs.extend(outcome.outputs);
+    let mut total = BlockCost::default();
+    for (block, cost) in costs.into_iter().enumerate() {
+        per_sm_cycles[block % spec.sm_count as usize] += cost.cycles;
+        total.warp_steps += cost.warp_steps;
+        total.lane_steps += cost.lane_steps;
+        total.idle_lane_steps += cost.idle_lane_steps;
     }
     let max_sm_cycles = per_sm_cycles.iter().copied().max().unwrap_or(0);
-
-    let stats = KernelStats {
+    KernelStats {
         threads: config.total_threads(),
         warps: config.warps_per_block(spec) * config.blocks,
         launch_overhead: spec.launch_overhead,
         device_time: spec.cycles_to_time(max_sm_cycles),
-        readback_time: spec.transfer_time(config.total_threads() as u64 * kernel.output_bytes()),
-        warp_steps,
-        lane_steps,
-        idle_lane_steps,
+        readback_time: spec.transfer_time(readback_bytes),
+        warp_steps: total.warp_steps,
+        lane_steps: total.lane_steps,
+        idle_lane_steps: total.idle_lane_steps,
         per_sm_cycles,
         occupancy: spec.occupancy(config),
-    };
+    }
+}
 
+/// Folds per-block outcomes (in block order) into the launch result: the
+/// costs through [`fold_costs`], the outputs concatenated.
+fn fold_outcomes<K: Kernel>(
+    kernel: &K,
+    config: &LaunchConfig,
+    spec: &DeviceSpec,
+    block_outcomes: Vec<BlockOutcome<K::Output>>,
+) -> LaunchResult<K::Output> {
+    let readback_bytes = config.total_threads() as u64 * kernel.output_bytes();
+    let stats = fold_costs(
+        block_outcomes.iter().map(|o| o.cost),
+        config,
+        spec,
+        readback_bytes,
+    );
+    let mut outputs = Vec::with_capacity(config.total_threads() as usize);
+    for outcome in block_outcomes {
+        outputs.extend(outcome.outputs);
+    }
     LaunchResult {
         outputs,
         stats,
@@ -248,10 +269,17 @@ fn fold_outcomes<K: Kernel>(
 /// [`GpuFault::BlockAbort`] are only recorded — the caller's response
 /// policy decides what to void and what virtual time to charge.
 pub fn apply_fault<O>(result: &mut LaunchResult<O>, fault: GpuFault) {
-    if let GpuFault::Slowdown(factor) = fault {
-        result.stats.device_time = result.stats.device_time * factor.max(1) as u64;
-    }
+    stretch(&mut result.stats, fault);
     result.fault = fault;
+}
+
+/// The slowdown rule, shared by every launch the device prices: a
+/// [`GpuFault::Slowdown`] multiplies device time by its factor; no other
+/// fault touches the statistics.
+pub(crate) fn stretch(stats: &mut KernelStats, fault: GpuFault) {
+    if let GpuFault::Slowdown(factor) = fault {
+        stats.device_time = stats.device_time * factor.max(1) as u64;
+    }
 }
 
 /// Executes `kernel` over `config` on the simulated device described by
@@ -266,34 +294,10 @@ pub fn execute_kernel<K: Kernel>(
     spec: &DeviceSpec,
     pool: &WorkerPool,
 ) -> LaunchResult<K::Output> {
-    let n_blocks = config.blocks;
-    let participants = pool.size().min(n_blocks as usize);
-
-    let block_outcomes: Vec<BlockOutcome<K::Output>> = if participants <= 1 {
-        (0..n_blocks)
-            .map(|b| simulate_block(kernel, b, config, spec))
-            .collect()
-    } else {
-        let next = AtomicU32::new(0);
-        let collected: Mutex<Vec<BlockOutcome<K::Output>>> =
-            Mutex::new(Vec::with_capacity(n_blocks as usize));
-        pool.run_scoped(participants, |_| {
-            let mut mine = Vec::new();
-            loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= n_blocks {
-                    break;
-                }
-                mine.push(simulate_block(kernel, b, config, spec));
-            }
-            collected
-                .lock()
-                .expect("block collector poisoned")
-                .extend(mine);
-        });
-        collected.into_inner().expect("block collector poisoned")
-    };
-
+    let mut blocks: Vec<u32> = (0..config.blocks).collect();
+    let block_outcomes = pool.map_indexed(&mut blocks, |_, &mut b| {
+        simulate_block(kernel, b, config, spec)
+    });
     fold_outcomes(kernel, config, spec, block_outcomes)
 }
 

@@ -20,6 +20,11 @@
 //!    time is the sum of its resident warps' work; the device is done when
 //!    the slowest SM is. Throughput therefore saturates once the grid covers
 //!    the device — the plateau of the paper's Fig. 5.
+//!
+//!    There is one device model: the device-resident tree kernel's
+//!    persistent launches ([`device_tree::price_resident_launch`]) settle
+//!    their warps, fold their blocks and take slowdowns through the same
+//!    executor code as every playout launch.
 //! 3. **Launch + transfer overhead** ([`device`]): every kernel pays a fixed
 //!    launch latency and an explicit host↔device transfer cost, so schemes
 //!    that launch often (many small iterations) pay for it, as on real
@@ -29,9 +34,10 @@
 //!    stream + event pattern that the paper's hybrid CPU/GPU scheme (its
 //!    Fig. 4) is built on.
 //!
-//! All real execution — synchronous block fan-out and asynchronous
-//! launches alike — runs on a persistent per-device [`pool::WorkerPool`];
-//! no OS thread is created per launch.
+//! All real execution — synchronous block fan-out
+//! ([`WorkerPool::map_indexed`]) and asynchronous launches alike — runs on
+//! a persistent per-device [`pool::WorkerPool`]; no OS thread is created
+//! per launch.
 //!
 //! Time is *virtual* ([`pmcts_util::SimTime`]), computed from a deterministic
 //! cycle-accounting model, while the kernels' actual work (random Reversi
@@ -50,7 +56,7 @@ pub mod stats;
 
 pub use batch::{BatchSegment, BatchedResult};
 pub use device::{Device, DeviceSpec};
-pub use device_tree::{DeviceAllocator, DeviceTreeSpec, TreeLaunchTrace};
+pub use device_tree::{price_resident_launch, DeviceTreeSpec};
 pub use kernel::{Kernel, LaunchConfig, ThreadId};
 pub use launch::{LaunchResult, PendingLaunch};
 pub use pool::WorkerPool;

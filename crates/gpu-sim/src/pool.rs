@@ -8,15 +8,16 @@
 //! devices) and serves
 //!
 //! * [`run_scoped`](WorkerPool::run_scoped) — synchronous fan-out where the
-//!   closure may borrow from the caller's stack (the block loop of
-//!   `execute_kernel`), and
+//!   closure may borrow from the caller's stack, and its indexed form
+//!   [`map_indexed`](WorkerPool::map_indexed) (the block loop of
+//!   `execute_kernel`, the searchers' per-tree host phases), and
 //! * [`submit`](WorkerPool::submit) — fire-and-forget `'static` jobs
 //!   (asynchronous launches behind `PendingLaunch`).
 //!
 //! **Determinism.** The pool never decides *what* work is done, only *which
-//! thread* does it: `execute_kernel` keys every block's result by block id
-//! and folds in block order, so results are bit-identical for any pool size
-//! (the same property the old scoped-thread fan-out had).
+//! thread* does it: `map_indexed` returns results in item order, so
+//! `execute_kernel` folds its blocks in block order and results are
+//! bit-identical for any pool size.
 //!
 //! **Deadlock freedom.** `run_scoped(participants, f)` always runs
 //! participant 0 on the calling thread, so all work can complete even if no
@@ -161,7 +162,7 @@ impl WorkerPool {
         // Cancel this scope's still-unclaimed jobs: a popped job is owned by
         // a worker, so whatever remains in the queue never started and can
         // be discarded (participant 0 plus the executing workers drain the
-        // shared work source — for `execute_kernel`, the block counter).
+        // shared work source — for `map_indexed`, the item counter).
         let cancelled = {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             let before = queue.len();
@@ -194,13 +195,13 @@ impl WorkerPool {
     /// Applies `f` to every element of `items` on the pool and returns the
     /// results **in item order**, regardless of which worker ran which item.
     ///
-    /// This is the deterministic fan-out primitive behind the searchers'
-    /// pool-parallel host phases: each item (one search tree) is claimed by
-    /// exactly one participant via an atomic counter, `f` gets exclusive
-    /// `&mut` access to it, and the result lands in the slot of the item's
-    /// index. Because outputs are keyed by index and the caller folds them
-    /// in order, results are bit-identical for any pool size — the same
-    /// property `execute_kernel` has for blocks.
+    /// This is the deterministic fan-out primitive behind `execute_kernel`'s
+    /// blocks and the searchers' pool-parallel host phases: each item (one
+    /// block, one search tree) is claimed by exactly one participant via an
+    /// atomic counter, `f` gets exclusive `&mut` access to it, and the
+    /// result lands in the slot of the item's index. Because outputs are
+    /// keyed by index and the caller folds them in order, results are
+    /// bit-identical for any pool size.
     ///
     /// Built on [`run_scoped`](Self::run_scoped), so it inherits its
     /// guarantees: the caller participates (no deadlock when all workers
