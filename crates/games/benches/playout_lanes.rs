@@ -1,7 +1,11 @@
 //! Criterion microbenches for the multi-lane playout engine (DESIGN.md §15):
 //! scalar `random_playout` vs `LaneBatch` at widths 4 and 8, on Reversi
-//! (bit-parallel lane kernels) and Hex11 (the default `lane_playouts`, one
-//! scalar playout per lane, so its lane numbers should track scalar).
+//! and Hex11. Reversi's `LaneBatch` runs the lane loop's AVX2+BMI2 build
+//! (PDEP move select, AVX2 kernels) on hosts that have those features
+//! and its portable build elsewhere; the `reversi portable lane batch`
+//! benches time the portable build directly. Hex11 runs the default
+//! `lane_playouts`, one scalar playout per lane, so its lane numbers
+//! should track scalar.
 //!
 //! Throughput is reported per *playout*, so a lane width is a win exactly
 //! when its number beats the scalar bench's.
@@ -60,8 +64,27 @@ fn bench_game<G: Game>(c: &mut Criterion, name: &str, prefix: u32) {
     });
 }
 
+/// The portable build of the Reversi lane loop at width 8, for
+/// comparison with the dispatched `reversi lane batch x8`.
+fn bench_reversi_portable(c: &mut Criterion) {
+    let root: Reversi = advanced(20, 7);
+    c.bench_function("reversi portable lane batch x8 (per 8 playouts)", |b| {
+        let mut epoch = 0u64;
+        b.iter(|| {
+            epoch += 1;
+            let mut rngs: [Xoshiro256pp; 8] =
+                std::array::from_fn(|i| Xoshiro256pp::derive(11, epoch * 8 + i as u64));
+            Reversi::portable_lane_playouts(&[black_box(root); 8], &mut rngs)
+                .iter()
+                .map(|r| r.plies)
+                .sum::<u32>()
+        })
+    });
+}
+
 fn bench_playout_lanes(c: &mut Criterion) {
     bench_game::<Reversi>(c, "reversi", 20);
+    bench_reversi_portable(c);
     bench_game::<Hex11>(c, "hex11", 30);
 }
 

@@ -7,11 +7,24 @@
 //!
 //! Direction conventions for bit `row * 8 + col`:
 //! east = `+1`, west = `-1`, south = `+8`, north = `-8`, and the four
-//! diagonals; file masks prevent wrap-around between rows.
+//! diagonals. A one-step shift that crosses a row boundary lands on the
+//! far file, so every kernel masks the *landing* squares with
+//! [`Direction::landing`]: `(b & NOT_H) << 1 == (b << 1) & NOT_A`, and
+//! likewise for the other wrapping directions. Pre-masking the flooded
+//! board (`opp`, and `empty`/`own` for the last step) once per direction
+//! turns each flood step into shift, AND, OR — one formulation shared by
+//! the scalar, portable lane and AVX2 kernels.
+//!
+//! The lane kernels come in two builds, one per build of the Reversi lane
+//! loop (DESIGN.md §15): the portable
+//! [`legal_moves_mask_lanes`]/[`flips_for_moves_lanes`], and on x86-64
+//! the 4-boards-per-`__m256i` [`avx2`] kernels, compiled into the loop's
+//! AVX2+BMI2 build. Both perform the identical wrapping u64 arithmetic,
+//! and the tests hold both to the naive references.
 
-/// Squares not on file `a` (col 0) — safe to shift west.
+/// Squares not on file `a` (col 0).
 const NOT_A_FILE: u64 = 0xFEFE_FEFE_FEFE_FEFE;
-/// Squares not on file `h` (col 7) — safe to shift east.
+/// Squares not on file `h` (col 7).
 const NOT_H_FILE: u64 = 0x7F7F_7F7F_7F7F_7F7F;
 
 /// The eight compass directions used by the flood fills.
@@ -61,43 +74,110 @@ impl Direction {
             Direction::NW => (-1, -1),
         }
     }
+
+    /// Squares a one-step move in this direction may land on: eastward
+    /// steps never land on file `a`, westward ones never on file `h`
+    /// (anything there wrapped around a row end), vertical steps anywhere.
+    #[inline(always)]
+    pub const fn landing(self) -> u64 {
+        match self {
+            Direction::E | Direction::SE | Direction::NE => NOT_A_FILE,
+            Direction::W | Direction::SW | Direction::NW => NOT_H_FILE,
+            Direction::S | Direction::N => u64::MAX,
+        }
+    }
+}
+
+/// Expands `$body` once per direction in [`DIRECTIONS`] order with `$dir`
+/// bound to that direction: a guaranteed unroll, so every `match` on the
+/// direction inside the body folds to straight-line code.
+macro_rules! for_each_direction {
+    (|$dir:ident| $body:block) => {{
+        {
+            let $dir = Direction::E;
+            $body
+        }
+        {
+            let $dir = Direction::W;
+            $body
+        }
+        {
+            let $dir = Direction::S;
+            $body
+        }
+        {
+            let $dir = Direction::N;
+            $body
+        }
+        {
+            let $dir = Direction::SE;
+            $body
+        }
+        {
+            let $dir = Direction::SW;
+            $body
+        }
+        {
+            let $dir = Direction::NE;
+            $body
+        }
+        {
+            let $dir = Direction::NW;
+            $body
+        }
+    }};
+}
+
+/// The raw bit shift of a one-step move in `dir`: bits leaving the top or
+/// bottom of the board drop out, row-end wraps stay (see
+/// [`Direction::landing`]).
+#[inline(always)]
+fn raw_shift(b: u64, dir: Direction) -> u64 {
+    match dir {
+        Direction::E => b << 1,
+        Direction::W => b >> 1,
+        Direction::S => b << 8,
+        Direction::N => b >> 8,
+        Direction::SE => b << 9,
+        Direction::SW => b << 7,
+        Direction::NE => b >> 7,
+        Direction::NW => b >> 9,
+    }
 }
 
 /// Shifts a bitboard one step in `dir`, discarding bits that leave the board.
 #[inline(always)]
 pub fn shift(b: u64, dir: Direction) -> u64 {
-    match dir {
-        Direction::E => (b & NOT_H_FILE) << 1,
-        Direction::W => (b & NOT_A_FILE) >> 1,
-        Direction::S => b << 8,
-        Direction::N => b >> 8,
-        Direction::SE => (b & NOT_H_FILE) << 9,
-        Direction::SW => (b & NOT_A_FILE) << 7,
-        Direction::NE => (b & NOT_H_FILE) >> 7,
-        Direction::NW => (b & NOT_A_FILE) >> 9,
+    raw_shift(b, dir) & dir.landing()
+}
+
+/// Floods from `seed` through the contiguous discs of `opp_d` along `dir`
+/// (`opp_d` pre-masked with `dir`'s landing squares): one step plus 5 more,
+/// which covers the maximum run of 6 opponent discs.
+#[inline(always)]
+fn flood(seed: u64, opp_d: u64, dir: Direction) -> u64 {
+    let mut t = raw_shift(seed, dir) & opp_d;
+    for _ in 0..5 {
+        t |= raw_shift(t, dir) & opp_d;
     }
+    t
 }
 
 /// Bitboard of all legal placement squares for the player owning `own`.
 ///
 /// Classic Dumb7Fill: for each direction, flood from `own` through contiguous
-/// `opp` discs (at most 6 steps on an 8×8 board), then step once more — any
-/// empty square reached is a legal move in that direction.
+/// `opp` discs, then step once more — any empty square reached is a legal
+/// move in that direction.
 #[inline]
 pub fn legal_moves_mask(own: u64, opp: u64) -> u64 {
     debug_assert_eq!(own & opp, 0, "overlapping boards");
     let empty = !(own | opp);
     let mut moves = 0u64;
-    for dir in DIRECTIONS {
-        let mut t = shift(own, dir) & opp;
-        // 5 more steps cover the maximum run of 6 opponent discs.
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        moves |= shift(t, dir) & empty;
-    }
+    for_each_direction!(|dir| {
+        let land = dir.landing();
+        let t = flood(own, opp & land, dir);
+        moves |= raw_shift(t, dir) & (empty & land);
+    });
     moves
 }
 
@@ -115,26 +195,22 @@ pub fn flips_for_move(own: u64, opp: u64, sq: u8) -> u64 {
     let mv = 1u64 << sq;
     debug_assert_eq!(mv & (own | opp), 0, "square occupied");
     let mut flips = 0u64;
-    for dir in DIRECTIONS {
-        // Flood the contiguous opponent run starting at `mv` (5 extra steps
-        // cover the maximum run of 6 opponent discs).
-        let mut t = shift(mv, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
-        t |= shift(t, dir) & opp;
+    for_each_direction!(|dir| {
+        let land = dir.landing();
+        let t = flood(mv, opp & land, dir);
         // The run flips iff the square past its far end is ours; interior
         // run squares neighbour only opponent discs, so one test suffices.
-        let capped = (shift(t, dir) & own != 0) as u64;
+        let capped = (raw_shift(t, dir) & (own & land) != 0) as u64;
         flips |= t & capped.wrapping_neg();
-    }
+    });
     flips
 }
 
 /// Selects the `k`-th (0-based) set bit of `mask` and returns its index.
 ///
 /// Used for uniform random move selection directly on the legal-move mask.
+/// The lane loop's AVX2+BMI2 build computes the same bit in one
+/// instruction, `_pdep_u64(1 << k, mask)`.
 ///
 /// # Panics
 /// Debug-panics if `k >= mask.count_ones()`.
@@ -149,319 +225,211 @@ pub fn select_bit(mask: u64, k: u32) -> u8 {
 }
 
 /// Multi-lane [`legal_moves_mask`]: masks for `N` independent boards
-/// computed back-to-back.
+/// computed back-to-back — the portable lane kernel.
 ///
 /// Direction loop outer, lane loop inner: each inner loop body is the same
 /// straight-line u64 code over `N` *independent* dependency chains, which
-/// keeps the superscalar units busy and lets the compiler auto-vectorize
-/// (4 × u64 per AVX2 op). All `N` lanes are computed unconditionally —
-/// callers with fewer than `N` live boards ignore the spare outputs rather
-/// than branching here.
-///
-/// `inline(never)` on the compiled variants: the kernel must stay a
-/// standalone, fully-vectorized function. Inlined into a playout loop it
-/// competes with ~10 × `N` u64 of caller state for registers and the
-/// vectorizer gives up (measured ~3× slower at `N = 8`).
-///
-/// On x86-64 an AVX2 variant of the identical integer arithmetic is
-/// selected at runtime (the default Rust baseline is SSE2, which only packs
-/// 2 × u64 per op). Shifts/AND/OR on `u64` are exact in every instruction
-/// set, so which variant runs never changes a single output bit.
+/// keeps the superscalar units busy. All `N` lanes are computed
+/// unconditionally — callers with fewer than `N` live boards ignore the
+/// spare outputs rather than branching here.
 #[inline]
-pub fn legal_moves_mask_lanes<const N: usize>(own: &[u64; N], opp: &[u64; N]) -> [u64; N] {
-    #[cfg(target_arch = "x86_64")]
-    if N >= 4 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just checked at runtime.
-        return unsafe { lanes_avx2::legal_moves_mask_lanes(own, opp) };
-    }
-    legal_moves_mask_lanes_generic(own, opp)
-}
-
-#[inline(never)]
-fn legal_moves_mask_lanes_generic<const N: usize>(own: &[u64; N], opp: &[u64; N]) -> [u64; N] {
-    legal_moves_mask_lanes_core(own, opp)
-}
-
-/// Shared body: `inline(always)` so each compiled variant above absorbs it
-/// under its own target features.
-#[inline(always)]
 #[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
-fn legal_moves_mask_lanes_core<const N: usize>(own: &[u64; N], opp: &[u64; N]) -> [u64; N] {
+pub fn legal_moves_mask_lanes<const N: usize>(own: &[u64; N], opp: &[u64; N]) -> [u64; N] {
     let mut empty = [0u64; N];
     for i in 0..N {
         debug_assert_eq!(own[i] & opp[i], 0, "overlapping boards");
         empty[i] = !(own[i] | opp[i]);
     }
     let mut moves = [0u64; N];
-    for dir in DIRECTIONS {
-        let mut t = [0u64; N];
-        for i in 0..N {
-            t[i] = shift(own[i], dir) & opp[i];
-        }
-        // 5 more steps cover the maximum run of 6 opponent discs.
+    for_each_direction!(|dir| {
+        let land = dir.landing();
+        let opp_d: [u64; N] = std::array::from_fn(|i| opp[i] & land);
+        let mut t: [u64; N] = std::array::from_fn(|i| raw_shift(own[i], dir) & opp_d[i]);
         for _ in 0..5 {
             for i in 0..N {
-                t[i] |= shift(t[i], dir) & opp[i];
+                t[i] |= raw_shift(t[i], dir) & opp_d[i];
             }
         }
         for i in 0..N {
-            moves[i] |= shift(t[i], dir) & empty[i];
+            moves[i] |= raw_shift(t[i], dir) & (empty[i] & land);
         }
-    }
+    });
     moves
 }
 
 /// Multi-lane [`flips_for_move`]: flip masks for `N` independent
-/// `(own, opp, sq)` triples computed back-to-back.
+/// `(own, opp, mv)` triples computed back-to-back, `mv` holding each
+/// lane's move as a one-bit board — the portable lane kernel.
 ///
-/// Same lock-step shape as [`legal_moves_mask_lanes`]. Lanes whose `sq` is
-/// not a legal empty square produce an unspecified (harmless) mask — the
-/// only requirement is `sq < 64`. Callers ignore inactive lanes' outputs
-/// instead of branching here.
-///
-/// Compiled and dispatched exactly like [`legal_moves_mask_lanes`]:
-/// out-of-line variants, runtime AVX2 selection on x86-64, bit-identical
-/// outputs whichever variant runs.
+/// Same lock-step shape as [`legal_moves_mask_lanes`]. Lanes whose `mv`
+/// is not a legal empty square (or is 0) produce an unspecified
+/// (harmless) mask; callers ignore inactive lanes' outputs instead of
+/// branching here.
 #[inline]
+#[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
 pub fn flips_for_moves_lanes<const N: usize>(
     own: &[u64; N],
     opp: &[u64; N],
-    sq: &[u8; N],
+    mv: &[u64; N],
 ) -> [u64; N] {
-    #[cfg(target_arch = "x86_64")]
-    if N >= 4 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just checked at runtime.
-        return unsafe { lanes_avx2::flips_for_moves_lanes(own, opp, sq) };
-    }
-    flips_for_moves_lanes_generic(own, opp, sq)
-}
-
-#[inline(never)]
-fn flips_for_moves_lanes_generic<const N: usize>(
-    own: &[u64; N],
-    opp: &[u64; N],
-    sq: &[u8; N],
-) -> [u64; N] {
-    flips_for_moves_lanes_core(own, opp, sq)
-}
-
-#[inline(always)]
-#[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
-fn flips_for_moves_lanes_core<const N: usize>(
-    own: &[u64; N],
-    opp: &[u64; N],
-    sq: &[u8; N],
-) -> [u64; N] {
-    let mut mv = [0u64; N];
-    for i in 0..N {
-        debug_assert!(sq[i] < 64);
-        mv[i] = 1u64 << sq[i];
-    }
     let mut flips = [0u64; N];
-    for dir in DIRECTIONS {
-        let mut t = [0u64; N];
-        for i in 0..N {
-            t[i] = shift(mv[i], dir) & opp[i];
-        }
+    for_each_direction!(|dir| {
+        let land = dir.landing();
+        let opp_d: [u64; N] = std::array::from_fn(|i| opp[i] & land);
+        let mut t: [u64; N] = std::array::from_fn(|i| raw_shift(mv[i], dir) & opp_d[i]);
         for _ in 0..5 {
             for i in 0..N {
-                t[i] |= shift(t[i], dir) & opp[i];
+                t[i] |= raw_shift(t[i], dir) & opp_d[i];
             }
         }
         for i in 0..N {
-            let capped = (shift(t[i], dir) & own[i] != 0) as u64;
+            let capped = (raw_shift(t[i], dir) & (own[i] & land) != 0) as u64;
             flips[i] |= t[i] & capped.wrapping_neg();
         }
-    }
+    });
     flips
 }
 
-/// Hand-written AVX2 lane kernels: 4 boards per `__m256i`, arbitrary `N`
-/// by chunking (zero-padded tail group for `N % 4` leftovers — empty
-/// boards are harmless inputs to both kernels).
+/// AVX2 lane kernels: 4 boards per `__m256i`, `N` a multiple of 4.
 ///
-/// LLVM's autovectorizer handles the generic lane loops erratically
-/// (measured 20–100 ns/board depending on `N`, versus ~8 ns for the scalar
-/// kernel), so the hot path is written directly against the intrinsics.
-/// Every operation is the same wrapping u64 shift/AND/OR the scalar
-/// [`shift`]-based kernels perform, so outputs are bit-identical.
+/// `target_feature` functions, so they are safe to call only from code
+/// compiled for the same features: the lane loop's x86 build
+/// (`Reversi::lane_playouts`) and tests behind a runtime check. They enable
+/// exactly that build's feature set (AVX2, BMI1, BMI2, POPCNT) — LLVM
+/// inlines a `target_feature` function only into a caller with matching
+/// features. Every operation is the same wrapping u64 shift/AND/OR the
+/// scalar kernels perform, in the same pre-masked formulation, so outputs
+/// are bit-identical.
 #[cfg(target_arch = "x86_64")]
-mod lanes_avx2 {
-    use super::{NOT_A_FILE, NOT_H_FILE};
-    use core::arch::x86_64::{
+pub mod avx2 {
+    use super::Direction;
+    use std::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpeq_epi64, _mm256_loadu_si256,
         _mm256_or_si256, _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_slli_epi64,
         _mm256_srli_epi64, _mm256_storeu_si256,
     };
 
-    /// Expands to the eight per-direction flood fills of a kernel body.
-    /// `$step!(|b| shift_expr)` is invoked once per direction with that
-    /// direction's shift over 4 lanes, mirroring scalar [`super::shift`].
-    macro_rules! for_each_direction {
-        ($step:ident, $not_a:ident, $not_h:ident) => {
-            $step!(|b| _mm256_slli_epi64(_mm256_and_si256(b, $not_h), 1)); // E
-            $step!(|b| _mm256_srli_epi64(_mm256_and_si256(b, $not_a), 1)); // W
-            $step!(|b| _mm256_slli_epi64(b, 8)); // S
-            $step!(|b| _mm256_srli_epi64(b, 8)); // N
-            $step!(|b| _mm256_slli_epi64(_mm256_and_si256(b, $not_h), 9)); // SE
-            $step!(|b| _mm256_slli_epi64(_mm256_and_si256(b, $not_a), 7)); // SW
-            $step!(|b| _mm256_srli_epi64(_mm256_and_si256(b, $not_h), 7)); // NE
-            $step!(|b| _mm256_srli_epi64(_mm256_and_si256(b, $not_a), 9)); // NW
-        };
+    /// [`super::raw_shift`] over 4 boards.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
+    fn raw_shift4(b: __m256i, dir: Direction) -> __m256i {
+        match dir {
+            Direction::E => _mm256_slli_epi64::<1>(b),
+            Direction::W => _mm256_srli_epi64::<1>(b),
+            Direction::S => _mm256_slli_epi64::<8>(b),
+            Direction::N => _mm256_srli_epi64::<8>(b),
+            Direction::SE => _mm256_slli_epi64::<9>(b),
+            Direction::SW => _mm256_slli_epi64::<7>(b),
+            Direction::NE => _mm256_srli_epi64::<7>(b),
+            Direction::NW => _mm256_srli_epi64::<9>(b),
+        }
     }
 
-    /// Floods `t` one more step through `opp` along `$sh`.
-    macro_rules! flood_step {
-        ($t:ident, $opp:ident, |$b:ident| $sh:expr) => {
-            $t = _mm256_or_si256(
-                $t,
-                _mm256_and_si256(
-                    {
-                        let $b = $t;
-                        $sh
-                    },
-                    $opp,
-                ),
-            );
-        };
+    /// [`super::flood`] over 4 boards.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
+    fn flood4(seed: __m256i, opp_d: __m256i, dir: Direction) -> __m256i {
+        let mut t = _mm256_and_si256(raw_shift4(seed, dir), opp_d);
+        for _ in 0..5 {
+            t = _mm256_or_si256(t, _mm256_and_si256(raw_shift4(t, dir), opp_d));
+        }
+        t
     }
 
     /// [`super::legal_moves_mask`] over 4 boards.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
     fn movegen4(own: __m256i, opp: __m256i) -> __m256i {
-        let not_a = _mm256_set1_epi64x(NOT_A_FILE as i64);
-        let not_h = _mm256_set1_epi64x(NOT_H_FILE as i64);
         let empty = _mm256_andnot_si256(_mm256_or_si256(own, opp), _mm256_set1_epi64x(-1));
         let mut moves = _mm256_setzero_si256();
-        macro_rules! dir {
-            (|$b:ident| $sh:expr) => {{
-                let mut t = _mm256_and_si256(
-                    {
-                        let $b = own;
-                        $sh
-                    },
-                    opp,
-                );
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                moves = _mm256_or_si256(
-                    moves,
-                    _mm256_and_si256(
-                        {
-                            let $b = t;
-                            $sh
-                        },
-                        empty,
-                    ),
-                );
-            }};
-        }
-        for_each_direction!(dir, not_a, not_h);
+        for_each_direction!(|dir| {
+            let land = _mm256_set1_epi64x(dir.landing() as i64);
+            let t = flood4(own, _mm256_and_si256(opp, land), dir);
+            let reach = _mm256_and_si256(raw_shift4(t, dir), _mm256_and_si256(empty, land));
+            moves = _mm256_or_si256(moves, reach);
+        });
         moves
     }
 
     /// [`super::flips_for_move`] over 4 boards (`mv` holds the move bits).
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
     fn flips4(own: __m256i, opp: __m256i, mv: __m256i) -> __m256i {
-        let not_a = _mm256_set1_epi64x(NOT_A_FILE as i64);
-        let not_h = _mm256_set1_epi64x(NOT_H_FILE as i64);
         let zero = _mm256_setzero_si256();
         let mut flips = zero;
-        macro_rules! dir {
-            (|$b:ident| $sh:expr) => {{
-                let mut t = _mm256_and_si256(
-                    {
-                        let $b = mv;
-                        $sh
-                    },
-                    opp,
-                );
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                flood_step!(t, opp, |$b| $sh);
-                // Run flips iff the square past its far end is ours; the
-                // cmpeq mask is all-ones where it is NOT (beyond == 0).
-                let beyond = _mm256_and_si256(
-                    {
-                        let $b = t;
-                        $sh
-                    },
-                    own,
-                );
-                flips = _mm256_or_si256(
-                    flips,
-                    _mm256_andnot_si256(_mm256_cmpeq_epi64(beyond, zero), t),
-                );
-            }};
-        }
-        for_each_direction!(dir, not_a, not_h);
+        for_each_direction!(|dir| {
+            let land = _mm256_set1_epi64x(dir.landing() as i64);
+            let t = flood4(mv, _mm256_and_si256(opp, land), dir);
+            // The run flips iff the square past its far end is ours; the
+            // cmpeq mask is all-ones where it is NOT (beyond == 0).
+            let beyond = _mm256_and_si256(raw_shift4(t, dir), _mm256_and_si256(own, land));
+            flips = _mm256_or_si256(
+                flips,
+                _mm256_andnot_si256(_mm256_cmpeq_epi64(beyond, zero), t),
+            );
+        });
         flips
     }
 
-    /// Loads lanes `i..i+4` of `src`, zero-padding past `N`.
-    #[target_feature(enable = "avx2")]
-    fn load4<const N: usize>(src: &[u64; N], i: usize) -> __m256i {
-        if i + 4 <= N {
-            // SAFETY: 4 in-bounds u64s; loadu has no alignment requirement.
-            unsafe { _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i) }
-        } else {
-            let mut pad = [0u64; 4];
-            pad[..N - i].copy_from_slice(&src[i..]);
-            // SAFETY: reading the whole local array.
-            unsafe { _mm256_loadu_si256(pad.as_ptr() as *const __m256i) }
-        }
+    /// Loads lanes `g..g + 4` of `src`.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
+    fn load4<const N: usize>(src: &[u64; N], g: usize) -> __m256i {
+        let lanes: &[u64; 4] = src[g..g + 4].try_into().expect("4 lanes");
+        // SAFETY: `lanes` is 4 in-bounds u64s (32 bytes); loadu has no
+        // alignment requirement.
+        unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) }
     }
 
-    /// Stores a group's results into lanes `i..min(i+4, N)` of `dst`.
-    #[target_feature(enable = "avx2")]
-    fn store4<const N: usize>(dst: &mut [u64; N], i: usize, v: __m256i) {
-        if i + 4 <= N {
-            // SAFETY: 4 in-bounds u64s; storeu has no alignment requirement.
-            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, v) };
-        } else {
-            let mut pad = [0u64; 4];
-            // SAFETY: writing the whole local array.
-            unsafe { _mm256_storeu_si256(pad.as_mut_ptr() as *mut __m256i, v) };
-            dst[i..].copy_from_slice(&pad[..N - i]);
-        }
+    /// Stores `v` into lanes `g..g + 4` of `dst`.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
+    fn store4<const N: usize>(dst: &mut [u64; N], g: usize, v: __m256i) {
+        let lanes: &mut [u64; 4] = (&mut dst[g..g + 4]).try_into().expect("4 lanes");
+        // SAFETY: `lanes` is 4 in-bounds u64s (32 bytes) borrowed mutably;
+        // storeu has no alignment requirement.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) }
     }
 
-    #[target_feature(enable = "avx2")]
+    /// [`super::legal_moves_mask_lanes`] for `N` a multiple of 4.
+    ///
+    /// # Safety
+    /// Callers outside code compiled for these features must make sure
+    /// the CPU has AVX2, BMI1, BMI2 and POPCNT.
+    ///
+    /// # Panics
+    /// Panics if `N % 4 != 0`.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
     pub fn legal_moves_mask_lanes<const N: usize>(own: &[u64; N], opp: &[u64; N]) -> [u64; N] {
+        assert!(N.is_multiple_of(4), "AVX2 lanes come in groups of 4");
         let mut out = [0u64; N];
-        let mut i = 0;
-        while i < N {
-            store4(&mut out, i, movegen4(load4(own, i), load4(opp, i)));
-            i += 4;
+        for g in (0..N).step_by(4) {
+            store4(&mut out, g, movegen4(load4(own, g), load4(opp, g)));
         }
         out
     }
 
-    #[target_feature(enable = "avx2")]
+    /// [`super::flips_for_moves_lanes`] for `N` a multiple of 4.
+    ///
+    /// # Safety
+    /// Callers outside code compiled for these features must make sure
+    /// the CPU has AVX2, BMI1, BMI2 and POPCNT.
+    ///
+    /// # Panics
+    /// Panics if `N % 4 != 0`.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    #[inline]
     pub fn flips_for_moves_lanes<const N: usize>(
         own: &[u64; N],
         opp: &[u64; N],
-        sq: &[u8; N],
+        mv: &[u64; N],
     ) -> [u64; N] {
-        let mut mv = [0u64; N];
-        for i in 0..N {
-            debug_assert!(sq[i] < 64);
-            mv[i] = 1u64 << sq[i];
-        }
+        assert!(N.is_multiple_of(4), "AVX2 lanes come in groups of 4");
         let mut out = [0u64; N];
-        let mut i = 0;
-        while i < N {
-            store4(
-                &mut out,
-                i,
-                flips4(load4(own, i), load4(opp, i), load4(&mv, i)),
-            );
-            i += 4;
+        for g in (0..N).step_by(4) {
+            let flips = flips4(load4(own, g), load4(opp, g), load4(mv, g));
+            store4(&mut out, g, flips);
         }
         out
     }
@@ -638,34 +606,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lanes_equal_scalar_on_random_boards() {
-        let mut rng = SplitMix64::new(46);
-        for _ in 0..200 {
+    /// Checks one lane-kernel build against the naive references on 8
+    /// random boards per round: every lane's legal-move mask, and the
+    /// flips of one legal move per lane (move-less lanes pass 0).
+    fn check_lane_kernels_against_naive(
+        seed: u64,
+        legal: impl Fn(&[u64; 8], &[u64; 8]) -> [u64; 8],
+        flips: impl Fn(&[u64; 8], &[u64; 8], &[u64; 8]) -> [u64; 8],
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..300 {
             let mut own = [0u64; 8];
             let mut opp = [0u64; 8];
             for i in 0..8 {
                 (own[i], opp[i]) = random_board(&mut rng);
             }
-            let masks = legal_moves_mask_lanes(&own, &opp);
+            let masks = legal(&own, &opp);
+            let mut mv = [0u64; 8];
             for i in 0..8 {
-                assert_eq!(masks[i], legal_moves_mask(own[i], opp[i]), "lane {i}");
-            }
-            // Pick one legal square per lane (skip lanes with no moves) and
-            // check the batched flip kernel against the scalar one.
-            let mut sq = [0u8; 8];
-            let mut live = [false; 8];
-            for i in 0..8 {
+                assert_eq!(masks[i], legal_moves_mask_naive(own[i], opp[i]), "lane {i}");
                 if masks[i] != 0 {
-                    sq[i] = select_bit(masks[i], masks[i].count_ones() - 1);
-                    live[i] = true;
+                    let k = (rng.next_u64() % masks[i].count_ones() as u64) as u32;
+                    mv[i] = 1u64 << select_bit(masks[i], k);
                 }
             }
-            let flips = flips_for_moves_lanes(&own, &opp, &sq);
+            let out = flips(&own, &opp, &mv);
             for i in 0..8 {
-                if live[i] {
-                    assert_eq!(flips[i], flips_for_move(own[i], opp[i], sq[i]), "lane {i}");
+                if mv[i] != 0 {
+                    let sq = mv[i].trailing_zeros() as u8;
+                    assert_eq!(out[i], flips_for_move_naive(own[i], opp[i], sq), "lane {i}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_lane_kernels_equal_naive() {
+        check_lane_kernels_against_naive(46, legal_moves_mask_lanes, flips_for_moves_lanes);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_lane_kernels_equal_naive() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        check_lane_kernels_against_naive(
+            47,
+            // SAFETY: AVX2 support was just checked at runtime.
+            |own, opp| unsafe { avx2::legal_moves_mask_lanes(own, opp) },
+            // SAFETY: as above.
+            |own, opp, mv| unsafe { avx2::flips_for_moves_lanes(own, opp, mv) },
+        );
+    }
+
+    #[test]
+    fn shift_is_the_landing_masked_raw_shift_of_the_source_masked_board() {
+        // The pre-masking identity every kernel relies on, against the
+        // source-masked form: (b & NOT_H) << 1 == (b << 1) & NOT_A, etc.
+        let source_masked = |b: u64, dir: Direction| match dir {
+            Direction::E => (b & NOT_H_FILE) << 1,
+            Direction::W => (b & NOT_A_FILE) >> 1,
+            Direction::S => b << 8,
+            Direction::N => b >> 8,
+            Direction::SE => (b & NOT_H_FILE) << 9,
+            Direction::SW => (b & NOT_A_FILE) << 7,
+            Direction::NE => (b & NOT_H_FILE) >> 7,
+            Direction::NW => (b & NOT_A_FILE) >> 9,
+        };
+        let mut rng = SplitMix64::new(48);
+        for _ in 0..1000 {
+            let b = rng.next_u64();
+            for dir in DIRECTIONS {
+                assert_eq!(shift(b, dir), source_masked(b, dir), "{dir:?} b={b:#x}");
             }
         }
     }

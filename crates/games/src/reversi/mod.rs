@@ -281,123 +281,223 @@ impl Game for Reversi {
         Some(ReversiMove(bitboard::select_bit(mask, k)))
     }
 
-    /// Bit-parallel lane playouts (DESIGN.md §15): every round computes the
-    /// legal-move masks for all `N` lanes back-to-back
-    /// ([`bitboard::legal_moves_mask_lanes`]), draws one move per live
-    /// lane, then computes all flip masks back-to-back
-    /// ([`bitboard::flips_for_moves_lanes`]) — the steady state is
-    /// straight-line u64 code with no per-lane branching. Pass and
-    /// terminal resolution fall back to scalar per lane (a handful of
-    /// plies per game).
-    ///
-    /// Bit-identical to `N` scalar playouts: each placement ply draws
-    /// exactly one `next_below(popcount(mask))` from that lane's stream and
-    /// picks the same ascending-order set bit; passes and terminals draw
-    /// nothing, exactly like [`Reversi::random_move_with`]. Lane state is
-    /// the raw bitboards only — the Zobrist accumulator is deliberately
-    /// not maintained, because [`PlayoutResult`] never observes it; that is
-    /// pure wall-clock profit with no effect on results.
-    #[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
+    /// Bit-parallel lane playouts (DESIGN.md §15): one lane loop
+    /// (`lane_loop`) with two builds, chosen once per call. On x86-64
+    /// hosts with AVX2, BMI1, BMI2 and POPCNT the whole loop runs compiled
+    /// for those features, with the 4-boards-per-register
+    /// [`bitboard::avx2`] kernels compiled in and a one-instruction PDEP
+    /// move select; elsewhere it runs [`Reversi::portable_lane_playouts`].
+    /// Both builds are bit-identical to `N` scalar playouts.
+    #[inline]
     fn lane_playouts<R: Rng64, const N: usize>(
         roots: &[Self; N],
         rngs: &mut [R; N],
     ) -> [PlayoutResult; N] {
-        // Lane state is mover-relative: `own`/`opp` always belong to the
-        // side to move, so applying a ply is swap-free bit arithmetic with
-        // no per-lane colour branching; `own_is_black` tracks the mapping
-        // back to absolute colours for terminal scoring.
-        let mut own = [0u64; N];
-        let mut opp = [0u64; N];
-        let mut own_is_black = [true; N];
-        for i in 0..N {
-            let (o, p) = roots[i].own_opp();
-            own[i] = o;
-            opp[i] = p;
-            own_is_black[i] = roots[i].to_move == Player::P1;
+        #[cfg(target_arch = "x86_64")]
+        if Self::avx2_lane_loop() {
+            // SAFETY: `avx2_lane_loop` checked every feature the build
+            // enables.
+            return unsafe { lane_x86::lane_playouts(roots, rngs) };
         }
-        let mut plies = [0u32; N];
-        let mut results: [Option<PlayoutResult>; N] = [None; N];
-        let mut live = N;
-        while live > 0 {
-            // Finished lanes are included in the batched kernels — their
-            // outputs are unused garbage, which is cheaper than branching
-            // inside the bit-parallel code.
-            let masks = bitboard::legal_moves_mask_lanes(&own, &opp);
-            // One RNG draw per lane with placements; pass/terminal lanes
-            // resolve scalar (a rare tail: a few plies per game at most).
-            let mut sqs = [0u8; N];
-            let mut mover = [false; N];
-            let mut any_mover = false;
-            for i in 0..N {
-                if results[i].is_some() {
-                    continue;
-                }
-                if masks[i] != 0 {
-                    let k = rngs[i].next_below(masks[i].count_ones());
-                    sqs[i] = bitboard::select_bit(masks[i], k);
-                    mover[i] = true;
-                    any_mover = true;
-                } else if bitboard::legal_moves_mask(opp[i], own[i]) != 0 {
-                    // Forced pass: zero RNG draws, side swap, one ply —
-                    // exactly the scalar path.
-                    std::mem::swap(&mut own[i], &mut opp[i]);
-                    own_is_black[i] = !own_is_black[i];
-                    plies[i] += 1;
-                    assert!(
-                        plies[i] as usize <= Self::MAX_GAME_LENGTH,
-                        "{} playout exceeded MAX_GAME_LENGTH={}",
-                        Self::NAME,
-                        Self::MAX_GAME_LENGTH
-                    );
+        Self::portable_lane_playouts(roots, rngs)
+    }
+}
+
+impl Reversi {
+    /// Whether [`Game::lane_playouts`] runs the AVX2+BMI2 build of the lane
+    /// loop on this host (x86-64 with AVX2, BMI1, BMI2 and POPCNT). The
+    /// standard library caches the detection, so this is one load per call.
+    #[inline]
+    pub fn avx2_lane_loop() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("popcnt");
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    /// The portable build of the lane loop: the generic
+    /// [`bitboard::legal_moves_mask_lanes`]/[`bitboard::flips_for_moves_lanes`]
+    /// kernels and [`bitboard::select_bit`]. [`Game::lane_playouts`] runs
+    /// it on hosts without AVX2+BMI2; it is also the oracle the
+    /// equivalence tests hold the dispatched build to.
+    pub fn portable_lane_playouts<R: Rng64, const N: usize>(
+        roots: &[Self; N],
+        rngs: &mut [R; N],
+    ) -> [PlayoutResult; N] {
+        lane_loop(
+            roots,
+            rngs,
+            bitboard::legal_moves_mask_lanes,
+            bitboard::flips_for_moves_lanes,
+            |mask, k| 1u64 << bitboard::select_bit(mask, k),
+        )
+    }
+}
+
+/// The x86-64 build of the lane loop.
+#[cfg(target_arch = "x86_64")]
+mod lane_x86 {
+    use super::{bitboard, lane_loop, PlayoutResult, Reversi};
+    use pmcts_util::Rng64;
+    use std::arch::x86_64::_pdep_u64;
+
+    /// [`lane_loop`] compiled for AVX2+BMI2+POPCNT: `count_ones` is one
+    /// POPCNT, the `k`-th set bit is one PDEP (the same ascending-order
+    /// bit as [`bitboard::select_bit`]), and widths that are multiples of
+    /// 4 run the AVX2 kernels; other widths run the portable kernels,
+    /// compiled for the same features.
+    #[target_feature(enable = "avx2,bmi1,bmi2,popcnt")]
+    pub(super) fn lane_playouts<R: Rng64, const N: usize>(
+        roots: &[Reversi; N],
+        rngs: &mut [R; N],
+    ) -> [PlayoutResult; N] {
+        lane_loop(
+            roots,
+            rngs,
+            |own, opp| {
+                if N.is_multiple_of(4) {
+                    bitboard::avx2::legal_moves_mask_lanes(own, opp)
                 } else {
-                    // Terminal: decided by disc count.
-                    let (b, w) = if own_is_black[i] {
-                        (own[i].count_ones(), opp[i].count_ones())
-                    } else {
-                        (opp[i].count_ones(), own[i].count_ones())
-                    };
-                    let outcome = match b.cmp(&w) {
-                        std::cmp::Ordering::Greater => Outcome::Win(Player::P1),
-                        std::cmp::Ordering::Less => Outcome::Win(Player::P2),
-                        std::cmp::Ordering::Equal => Outcome::Draw,
-                    };
-                    results[i] = Some(PlayoutResult {
-                        outcome,
-                        plies: plies[i],
-                        final_score: b as i32 - w as i32,
-                    });
-                    live -= 1;
+                    bitboard::legal_moves_mask_lanes(own, opp)
                 }
-            }
-            if !any_mover {
+            },
+            |own, opp, mv| {
+                if N.is_multiple_of(4) {
+                    bitboard::avx2::flips_for_moves_lanes(own, opp, mv)
+                } else {
+                    bitboard::flips_for_moves_lanes(own, opp, mv)
+                }
+            },
+            |mask, k| _pdep_u64(1u64 << k, mask),
+        )
+    }
+}
+
+/// The Reversi lane loop, written once and instantiated per build: every
+/// round computes the legal-move masks for all `N` lanes back-to-back
+/// (`legal`), draws one move per live lane (`select` turns the draw into
+/// the move's bit), then computes all flip masks back-to-back (`flips`) —
+/// the steady state is straight-line u64 code with no per-lane branching.
+/// Pass and terminal resolution fall back to scalar per lane (a handful of
+/// plies per game).
+///
+/// `inline(always)`, so each build compiles the whole loop — kernels,
+/// popcount and select included — under its own target features.
+///
+/// Bit-identical to `N` scalar playouts: each placement ply draws exactly
+/// one `next_below(popcount(mask))` from that lane's stream and picks the
+/// same ascending-order set bit; passes and terminals draw nothing,
+/// exactly like [`Reversi::random_move_with`]. Lane state is the raw
+/// bitboards only — the Zobrist accumulator is deliberately not
+/// maintained, because [`PlayoutResult`] never observes it; that is pure
+/// wall-clock profit with no effect on results. The loop does not
+/// allocate.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
+fn lane_loop<R: Rng64, const N: usize>(
+    roots: &[Reversi; N],
+    rngs: &mut [R; N],
+    legal: impl Fn(&[u64; N], &[u64; N]) -> [u64; N],
+    flips: impl Fn(&[u64; N], &[u64; N], &[u64; N]) -> [u64; N],
+    select: impl Fn(u64, u32) -> u64,
+) -> [PlayoutResult; N] {
+    // Lane state is mover-relative: `own`/`opp` always belong to the side
+    // to move, so applying a ply is swap-free bit arithmetic with no
+    // per-lane colour branching; `own_is_black` tracks the mapping back to
+    // absolute colours for terminal scoring.
+    let mut own = [0u64; N];
+    let mut opp = [0u64; N];
+    let mut own_is_black = [true; N];
+    for i in 0..N {
+        let (o, p) = roots[i].own_opp();
+        own[i] = o;
+        opp[i] = p;
+        own_is_black[i] = roots[i].to_move == Player::P1;
+    }
+    let mut plies = [0u32; N];
+    let mut results: [Option<PlayoutResult>; N] = [None; N];
+    let mut live = N;
+    while live > 0 {
+        // Finished lanes are included in the batched kernels — their
+        // outputs are unused garbage, which is cheaper than branching
+        // inside the bit-parallel code.
+        let masks = legal(&own, &opp);
+        // One RNG draw per lane with placements; pass/terminal lanes
+        // resolve scalar (a rare tail: a few plies per game at most).
+        // Non-movers keep a zero move bit.
+        let mut mv = [0u64; N];
+        let mut any_mover = false;
+        for i in 0..N {
+            if results[i].is_some() {
                 continue;
             }
-            let flips = bitboard::flips_for_moves_lanes(&own, &opp, &sqs);
-            for i in 0..N {
-                if !mover[i] {
-                    continue;
-                }
-                let f = flips[i];
-                debug_assert_ne!(f, 0, "legal move flips nothing");
-                // Apply and hand the move to the other side in one step:
-                // the next mover's discs are the old opponent's minus the
-                // flips; the new opponent is the old mover plus flips and
-                // the placed disc.
-                let moved = own[i] | f | (1u64 << sqs[i]);
-                own[i] = opp[i] & !f;
-                opp[i] = moved;
+            if masks[i] != 0 {
+                let k = rngs[i].next_below(masks[i].count_ones());
+                mv[i] = select(masks[i], k);
+                any_mover = true;
+            } else if bitboard::legal_moves_mask(opp[i], own[i]) != 0 {
+                // Forced pass: zero RNG draws, side swap, one ply —
+                // exactly the scalar path.
+                std::mem::swap(&mut own[i], &mut opp[i]);
                 own_is_black[i] = !own_is_black[i];
                 plies[i] += 1;
                 assert!(
-                    plies[i] as usize <= Self::MAX_GAME_LENGTH,
+                    plies[i] as usize <= Reversi::MAX_GAME_LENGTH,
                     "{} playout exceeded MAX_GAME_LENGTH={}",
-                    Self::NAME,
-                    Self::MAX_GAME_LENGTH
+                    Reversi::NAME,
+                    Reversi::MAX_GAME_LENGTH
                 );
+            } else {
+                // Terminal: decided by disc count.
+                let (b, w) = if own_is_black[i] {
+                    (own[i].count_ones(), opp[i].count_ones())
+                } else {
+                    (opp[i].count_ones(), own[i].count_ones())
+                };
+                let outcome = match b.cmp(&w) {
+                    std::cmp::Ordering::Greater => Outcome::Win(Player::P1),
+                    std::cmp::Ordering::Less => Outcome::Win(Player::P2),
+                    std::cmp::Ordering::Equal => Outcome::Draw,
+                };
+                results[i] = Some(PlayoutResult {
+                    outcome,
+                    plies: plies[i],
+                    final_score: b as i32 - w as i32,
+                });
+                live -= 1;
             }
         }
-        results.map(|r| r.expect("all lanes ran to completion"))
+        if !any_mover {
+            continue;
+        }
+        let flipped = flips(&own, &opp, &mv);
+        for i in 0..N {
+            if mv[i] == 0 {
+                continue;
+            }
+            let f = flipped[i];
+            debug_assert_ne!(f, 0, "legal move flips nothing");
+            // Apply and hand the move to the other side in one step: the
+            // next mover's discs are the old opponent's minus the flips;
+            // the new opponent is the old mover plus flips and the placed
+            // disc.
+            let moved = own[i] | f | mv[i];
+            own[i] = opp[i] & !f;
+            opp[i] = moved;
+            own_is_black[i] = !own_is_black[i];
+            plies[i] += 1;
+            assert!(
+                plies[i] as usize <= Reversi::MAX_GAME_LENGTH,
+                "{} playout exceeded MAX_GAME_LENGTH={}",
+                Reversi::NAME,
+                Reversi::MAX_GAME_LENGTH
+            );
+        }
     }
+    results.map(|r| r.expect("all lanes ran to completion"))
 }
 
 #[cfg(test)]

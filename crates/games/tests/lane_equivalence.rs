@@ -11,14 +11,18 @@
 //! Covered engines: Reversi (bit-parallel `lane_playouts` override),
 //! Connect-4 / Tic-Tac-Toe / Hex (the per-lane scalar default), at lane
 //! widths 1, 4 and 8, from varied playout prefixes, including batches with
-//! terminal roots mixed in. The shared chunk policy [`chunked_playouts`]
+//! terminal roots mixed in. Reversi's lane loop has two builds — the one
+//! `lane_playouts` dispatches to (AVX2+BMI2 on hosts that have it) and
+//! [`Reversi::portable_lane_playouts`] — and both are held to the scalar
+//! oracle at widths 4 and 8, from midgame, pass-heavy endgame and
+//! terminal roots. The shared chunk policy [`chunked_playouts`]
 //! (8-wide chunks, a 4-wide chunk, scalar remainder) is checked at every
 //! slice length 0..=19 on Reversi (bit-parallel chunks) and Hex 11×11
 //! (default chunks).
 
 use pmcts_games::{
-    chunked_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player, Reversi,
-    TicTacToe,
+    chunked_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player,
+    PlayoutResult, Reversi, TicTacToe,
 };
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -35,24 +39,62 @@ fn advance<G: Game>(mut state: G, plies: u32, seed: u64) -> G {
     state
 }
 
+/// A Reversi endgame root from one random game of `seed`: `lead` plies
+/// before the game's first forced pass, or before its end if it has none,
+/// so the playout crosses passes and the terminal resolution.
+fn endgame_root(seed: u64, lead: usize) -> Reversi {
+    let mut rng = Xoshiro256pp::new(seed);
+    let mut line = vec![Reversi::initial()];
+    let mut state = Reversi::initial();
+    while let Some(mv) = state.random_move(&mut rng) {
+        state.apply(mv);
+        line.push(state);
+        if state.must_pass() {
+            break;
+        }
+    }
+    line[line.len().saturating_sub(1 + lead)]
+}
+
 /// Asserts the full equivalence contract for one batch: results and final
 /// RNG states must match `N` scalar playouts exactly.
 fn assert_batch_matches_scalar<G: Game, const N: usize>(roots: [G; N], seeds: [u64; N]) {
-    let rngs: [Xoshiro256pp; N] = std::array::from_fn(|i| Xoshiro256pp::new(seeds[i]));
-    let (lane_results, lane_rngs) = LaneBatch::new(roots, rngs).run_with_rngs();
+    assert_lanes_match_scalar("dispatched", roots, seeds, |roots, rngs| {
+        let (results, finals) = LaneBatch::new(*roots, rngs.clone()).run_with_rngs();
+        *rngs = finals;
+        results
+    });
+}
+
+/// [`assert_batch_matches_scalar`] for both Reversi lane-loop builds.
+fn assert_reversi_builds_match_scalar<const N: usize>(roots: [Reversi; N], seeds: [u64; N]) {
+    assert_batch_matches_scalar(roots, seeds);
+    assert_lanes_match_scalar("portable", roots, seeds, Reversi::portable_lane_playouts);
+}
+
+/// The equivalence contract for one lane engine `run`, which plays lane
+/// `i` from `roots[i]` on `rngs[i]` in place.
+fn assert_lanes_match_scalar<G: Game, const N: usize>(
+    engine: &str,
+    roots: [G; N],
+    seeds: [u64; N],
+    run: impl FnOnce(&[G; N], &mut [Xoshiro256pp; N]) -> [PlayoutResult; N],
+) {
+    let mut lane_rngs: [Xoshiro256pp; N] = std::array::from_fn(|i| Xoshiro256pp::new(seeds[i]));
+    let lane_results = run(&roots, &mut lane_rngs);
     for i in 0..N {
         let mut rng = Xoshiro256pp::new(seeds[i]);
         let scalar = random_playout(roots[i], &mut rng);
         assert_eq!(
             lane_results[i],
             scalar,
-            "{} lane {i}/{N}: result diverged from scalar playout",
+            "{} {engine} lane {i}/{N}: result diverged from scalar playout",
             G::NAME
         );
         assert_eq!(
             lane_rngs[i],
             rng,
-            "{} lane {i}/{N}: final RNG state diverged (draw counts differ)",
+            "{} {engine} lane {i}/{N}: final RNG state diverged (draw counts differ)",
             G::NAME
         );
     }
@@ -124,6 +166,43 @@ proptest! {
     #[test]
     fn reversi_lane_batches_match_scalar(seed in any::<u64>()) {
         check_game_at_all_widths::<Reversi>(seed, 50);
+    }
+
+    #[test]
+    fn reversi_builds_match_scalar_from_midgame_roots(seed in any::<u64>()) {
+        let roots: [Reversi; 8] = std::array::from_fn(|i| {
+            advance(Reversi::initial(), 20 + (i as u32) * 5, seed ^ i as u64)
+        });
+        let seeds: [u64; 8] = std::array::from_fn(|i| seed.wrapping_mul(7).wrapping_add(i as u64));
+        assert_reversi_builds_match_scalar::<4>(
+            std::array::from_fn(|i| roots[i]),
+            std::array::from_fn(|i| seeds[i]),
+        );
+        assert_reversi_builds_match_scalar::<8>(roots, seeds);
+    }
+
+    #[test]
+    fn reversi_builds_match_scalar_from_pass_heavy_and_terminal_roots(seed in any::<u64>()) {
+        // Lanes 0..6 start 0–5 plies before a forced pass (or the end);
+        // lanes 6 and 7 start from finished games.
+        let roots: [Reversi; 8] = std::array::from_fn(|i| {
+            if i < 6 {
+                endgame_root(seed ^ i as u64, i)
+            } else {
+                advance(Reversi::initial(), u32::MAX, seed ^ i as u64)
+            }
+        });
+        prop_assert!(roots[6].is_terminal() && roots[7].is_terminal());
+        let seeds: [u64; 8] = std::array::from_fn(|i| seed.wrapping_add(500 + i as u64));
+        assert_reversi_builds_match_scalar::<4>(
+            std::array::from_fn(|i| roots[i]),
+            std::array::from_fn(|i| seeds[i]),
+        );
+        assert_reversi_builds_match_scalar::<4>(
+            std::array::from_fn(|i| roots[4 + i]),
+            std::array::from_fn(|i| seeds[4 + i]),
+        );
+        assert_reversi_builds_match_scalar::<8>(roots, seeds);
     }
 
     #[test]

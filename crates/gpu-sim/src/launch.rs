@@ -183,5 +183,6 @@ mod tests {
         for p in pending {
             assert_eq!(p.wait().outputs.len(), 64);
         }
+        assert_eq!(dev.worker_pool().swallowed_panics(), 0);
     }
 }

@@ -29,7 +29,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -66,13 +66,18 @@ struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
+    /// Detached jobs whose panic the worker caught and dropped.
+    swallowed_panics: AtomicUsize,
 }
 
 /// A fixed-size pool of persistent worker threads.
 ///
 /// Dropping the pool drains the queue (pending detached jobs still run —
 /// preserving the fire-and-forget semantics of dropped async launches) and
-/// joins all workers.
+/// joins all workers. A detached job may own the last reference to its
+/// pool (a dropped `PendingLaunch` whose device is gone too), so the drop
+/// can run on one of the pool's own workers: that worker is detached
+/// instead of joined, and exits once it is back in its loop.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -86,6 +91,7 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            swallowed_panics: AtomicUsize::new(0),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -111,6 +117,13 @@ impl WorkerPool {
     #[inline]
     pub fn size(&self) -> usize {
         self.workers.len()
+    }
+
+    /// How many detached jobs ([`submit`](Self::submit)) panicked. Their
+    /// panics have nowhere to surface, so the worker catches and drops
+    /// them and counts them here; a healthy pool reads 0.
+    pub fn swallowed_panics(&self) -> usize {
+        self.shared.swallowed_panics.load(Ordering::Relaxed)
     }
 
     /// Enqueues a detached `'static` job; some worker eventually runs it.
@@ -272,8 +285,17 @@ impl Drop for WorkerPool {
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.available.notify_all();
+        // A worker cannot join itself (`pthread_join` fails with EDEADLK and
+        // std panics). When a detached job dropped the last reference, the
+        // current thread is one of the workers: dropping its handle detaches
+        // it, and it exits on its own — it is back in `worker_loop` as soon
+        // as this drop returns, sees `shutdown`, and drains the queue like
+        // the others.
+        let current = std::thread::current().id();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -305,10 +327,12 @@ fn worker_loop(shared: &PoolShared) {
         match job {
             Job::Task(f) => {
                 // A detached job's panic has nowhere to surface (the owner
-                // may have dropped its handle); swallow it so the worker
-                // survives. `PendingLaunch` jobs catch their own panics and
-                // report them through `wait()`.
-                let _ = catch_unwind(AssertUnwindSafe(f));
+                // may have dropped its handle); count and drop it so the
+                // worker survives. `PendingLaunch` jobs catch their own
+                // panics and report them through `wait()`.
+                if catch_unwind(AssertUnwindSafe(f)).is_err() {
+                    shared.swallowed_panics.fetch_add(1, Ordering::Relaxed);
+                }
             }
             Job::Scoped { scope, index } => {
                 let run = unsafe { &*scope.run.0 };
@@ -398,6 +422,53 @@ mod tests {
             // Drop joins workers after the queue drains.
         }
         assert_eq!(ran.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn detached_job_panics_are_counted() {
+        let pool = WorkerPool::new(2);
+        pool.submit(|| panic!("detached job exploded"));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        pool.submit(move || {
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        // Wait (bounded) for both jobs: the worker survives the panic.
+        for _ in 0..10_000 {
+            if pool.swallowed_panics() == 1 && ran.load(Ordering::Relaxed) == 1 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(pool.swallowed_panics(), 1);
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dropping_the_last_reference_on_a_worker_detaches_it() {
+        // The job owns the only `Arc` once the caller's clone is gone, so
+        // the pool drops on its own worker; a self-join would panic there
+        // and the channel would never hear back.
+        let pool = Arc::new(WorkerPool::new(2));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let owned = Arc::clone(&pool);
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            let on_worker = std::thread::current().id();
+            drop(owned);
+            done_tx.send(on_worker).unwrap();
+        });
+        started.recv().unwrap();
+        drop(pool);
+        release.send(()).unwrap();
+        let timeout = std::time::Duration::from_secs(60);
+        let worker = done
+            .recv_timeout(timeout)
+            .expect("self-dropping job finished");
+        assert_ne!(worker, std::thread::current().id());
     }
 
     #[test]
