@@ -327,13 +327,18 @@ fn device_tree_lane_groups_identical_across_host_threads_and_pinned() {
 
 #[test]
 fn hybrid_identical_across_host_threads() {
-    assert_reports_identical("hybrid", SearchBudget::Iterations(5), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(23),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "hybrid",
+        SearchBudget::Iterations(5),
+        "Some(ReversiMove(26))/s348/i5/e3857984/v348/w4640132583261208576",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(23),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -391,13 +396,18 @@ fn bounded_block_parallel_identical_across_host_threads() {
 
 #[test]
 fn bounded_hybrid_identical_across_host_threads() {
-    assert_reports_identical("bounded hybrid", SearchBudget::Iterations(90), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(29).with_tree_capacity(64),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "bounded hybrid",
+        SearchBudget::Iterations(90),
+        "Some(ReversiMove(37))/s6379/i90/e68257677/v6379/w4658867161886883840",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(29).with_tree_capacity(64),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 // ---- 2b. WU-UCT and pipelined block-parallel (DESIGN.md §16) -------------
@@ -514,20 +524,26 @@ fn wu_uct_with_faults_identical_across_host_threads_and_pinned() {
 
 #[test]
 fn pipelined_identical_across_host_threads() {
-    assert_reports_identical("pipelined", SearchBudget::Iterations(6), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(65),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "pipelined",
+        SearchBudget::Iterations(6),
+        "Some(ReversiMove(19))/s768/i6/e4581860/v768/w4645119968004800512",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(65),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
 fn pipelined_time_budget_identical_across_host_threads() {
-    assert_reports_identical(
+    assert_identical_and_pinned(
         "pipelined (time)",
         SearchBudget::VirtualTime(SimTime::from_millis(10)),
+        "Some(ReversiMove(26))/s1792/i14/e10657025/v1792/w4650485584748347392",
         |t| {
             Box::new(PipelinedSearcher::new(
                 cfg(66),
@@ -540,13 +556,18 @@ fn pipelined_time_budget_identical_across_host_threads() {
 
 #[test]
 fn bounded_pipelined_identical_across_host_threads() {
-    assert_reports_identical("bounded pipelined", SearchBudget::Iterations(100), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(67).with_tree_capacity(64),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "bounded pipelined",
+        SearchBudget::Iterations(100),
+        "Some(ReversiMove(37))/s12800/i100/e74060396/v12800/w4663392751746809856",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(67).with_tree_capacity(64),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -723,6 +744,24 @@ fn multi_node_cpu_with_faults_identical_across_runs() {
                 .with_pool(Arc::new(WorkerPool::new(t))),
             )
         },
+    );
+}
+
+#[test]
+fn tree_parallel_one_worker_pinned() {
+    // One worker has no other thread to interleave with, so tree
+    // parallelism is deterministic: its virtual-loss registration and
+    // rollback around every playout are pinned.
+    let run = || {
+        TreeParallelSearcher::<Reversi>::new(cfg(48), 1)
+            .with_virtual_loss(2)
+            .search(Reversi::initial(), SearchBudget::Iterations(200))
+    };
+    let r = run();
+    assert_eq!(r, run());
+    assert_eq!(
+        report_fingerprint(&r),
+        "Some(ReversiMove(44))/s200/i200/e20212680/v200/w4635153994610638848"
     );
 }
 

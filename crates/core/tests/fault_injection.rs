@@ -83,6 +83,15 @@ fn hybrid_run(faults: FaultPlan) -> SearchReport<<Reversi as Game>::Move> {
     .search(Reversi::initial(), SearchBudget::Iterations(5))
 }
 
+fn pipelined_run(faults: FaultPlan) -> SearchReport<<Reversi as Game>::Move> {
+    PipelinedSearcher::<Reversi>::new(
+        cfg(107).with_faults(faults),
+        device(),
+        LaunchConfig::new(4, 32),
+    )
+    .search(Reversi::initial(), SearchBudget::Iterations(6))
+}
+
 #[test]
 fn zero_fault_pin_leaf() {
     assert_eq!(
@@ -104,6 +113,14 @@ fn zero_fault_pin_hybrid() {
     assert_eq!(
         fingerprint(&hybrid_run(FaultPlan::none())),
         "Some(ReversiMove(26))/s348/i5/n40/d3/e3846165/v348/w4640062214517030912"
+    );
+}
+
+#[test]
+fn zero_fault_pin_pipelined() {
+    assert_eq!(
+        fingerprint(&pipelined_run(FaultPlan::none())),
+        "Some(ReversiMove(37))/s768/i6/n28/d2/e4617077/v768/w4644776920376934400"
     );
 }
 
@@ -151,6 +168,7 @@ fn none_plan_reports_zero_fault_counters() {
         leaf_run(FaultPlan::none()),
         block_run(FaultPlan::none()),
         hybrid_run(FaultPlan::none()),
+        pipelined_run(FaultPlan::none()),
     ] {
         assert!(!r.phases.faults.any(), "no faults under FaultPlan::none()");
     }
@@ -334,6 +352,10 @@ fn hybrid_absorbs_hangs_with_cpu_shadow_work() {
     assert!(r.simulations > 0, "shadow iterations keep the search alive");
     assert_eq!(r.phases.simulations, r.simulations);
     assert_healthy(&r);
+    assert_eq!(
+        fingerprint(&r),
+        "Some(ReversiMove(44))/s70/i5/n82/d4/e7565408/v70/w4630122629401935872"
+    );
 }
 
 #[test]

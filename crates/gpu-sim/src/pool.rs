@@ -494,6 +494,45 @@ mod tests {
     }
 
     #[test]
+    fn caller_panic_waits_for_started_participants() {
+        // The safety argument of the lifetime-erasing `transmute`: even when
+        // participant 0 unwinds, `run_scoped` must not return while a worker
+        // still runs a participant that borrows the caller's stack. Here the
+        // worker writes into a heap `Vec` the closure borrows after the
+        // caller already panicked; a premature return would let that write
+        // land after the `Vec` is freed (a heap-use-after-free under ASan)
+        // and fail the assertion below.
+        let pool = WorkerPool::new(2);
+        let slots: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let started = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_scoped(2, |idx| {
+                if idx == 0 {
+                    // Panic only once the worker owns participant 1, so the
+                    // scope cannot cancel it unstarted.
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    panic!("caller participant exploded");
+                }
+                started.store(true, Ordering::Release);
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                slots[3].store(7, Ordering::Release);
+            });
+        }));
+        assert!(
+            result.is_err(),
+            "participant 0's panic must reach the caller"
+        );
+        assert_eq!(
+            slots[3].load(Ordering::Acquire),
+            7,
+            "run_scoped unwound before its worker participant finished"
+        );
+        drop(slots);
+    }
+
+    #[test]
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.size(), 1);
