@@ -132,6 +132,14 @@ impl<G: Game> BlockSession<G> {
             pending: None,
         }
     }
+
+    /// Drops the begun round unsimulated: its launch hung and the caller
+    /// absorbed the wait ([`Landing::Absorbed`]).
+    ///
+    /// [`Landing::Absorbed`]: crate::wave::Landing::Absorbed
+    pub(crate) fn drop_round(&mut self) {
+        self.pending.take().expect("no round in flight");
+    }
 }
 
 impl<G: Game> SessionEngine<G> for BlockSession<G> {

@@ -8,21 +8,35 @@
 //! while the GPU simulates ("CPU can work here!" in Fig. 4), improving both
 //! depth and playing strength (paper Fig. 8).
 //!
+//! The searcher is a driver over a `BlockSession`, the block-parallel
+//! round engine: each round its host half selects and expands every tree,
+//! the launch flies asynchronously while the CPU runs sequential MCTS
+//! iterations on the same trees, and the launch lands through
+//! `WaveDriver::land`. The round is priced by `wave::overlap`, the one
+//! overlap ledger the pipelined searcher shares: the longer of kernel and
+//! CPU work is charged, the shorter recorded as `overlap_saved`.
+//!
 //! Determinism: the amount of CPU shadow work per launch is bounded by the
 //! *previous* kernel's virtual duration (an adaptive estimate), not by
 //! wall-clock polling, so results are reproducible while the kernel still
 //! genuinely executes in the background via
 //! [`pmcts_gpu_sim::PendingLaunch`].
+//!
+//! Faults: the driver absorbs hangs. A hung kernel's outputs are void and
+//! it is neither retried nor degraded to CPU playouts; instead the CPU
+//! extends its shadow loop to the hang's detection deadline, so the window
+//! still makes progress. A `BlockAbort` voids one tree's readback and a
+//! slowdown stretches device time, as for every scheme.
 
-use crate::block_parallel::{backprop_outputs, select_and_expand_all};
+use crate::block_parallel::BlockSession;
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
-use crate::wave::{charge_serial, void_of, Ledger, WaveDriver};
+use crate::wave::{overlap, Landing, SessionEngine, WaveDriver};
 use pmcts_games::Game;
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
+use pmcts_gpu_sim::{Device, LaunchConfig};
 use pmcts_util::{SimTime, Xoshiro256pp};
 
 /// Hybrid CPU+GPU block-parallel searcher.
@@ -41,7 +55,8 @@ impl<G: Game> HybridSearcher<G> {
         HybridSearcher {
             driver: WaveDriver::new(&config, device, launch, 0)
                 .with_epoch_mul(0x2545_F491_4F6C_DD1D)
-                .with_fault_stream(0x4B1D),
+                .with_fault_stream(0x4B1D)
+                .absorbing_hangs(),
             rng: Xoshiro256pp::derive(config.seed, 0x4B1D),
             cpu_worker: SequentialSearcher::with_stream(config.clone(), 0xC0DE),
             config,
@@ -89,15 +104,15 @@ impl<G: Game> Shadow<'_, G> {
 impl<G: Game> Searcher<G> for HybridSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         let launch = self.driver.launch_config();
-        let blocks = launch.blocks as usize;
-        let tpb = launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut ledger = Ledger::new(budget);
-        let Ledger { tracker, phases } = &mut ledger;
+        let mut engine = BlockSession::new(
+            root,
+            budget,
+            &self.config,
+            launch.blocks,
+            self.rng.clone(),
+            launch.threads_per_block as usize,
+        );
         let cpu = self.config.cpu_cost;
-        let plan = self.config.faults;
         let mut kernel_estimate: Option<SimTime> = None;
         let mut shadow = Shadow {
             worker: &mut self.cpu_worker,
@@ -106,75 +121,45 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 .max(SimTime::from_nanos(1)),
         };
 
-        if !trees[0].is_terminal(0) {
-            while tracker.may_continue() {
-                let (frontier, host_cost) =
-                    select_and_expand_all(&mut trees, &mut self.rng, &self.config, phases);
-                let positions: Vec<G> = frontier.iter().map(|&(_, s, _)| s).collect();
-                let (pending, upload) = self.driver.launch_async(&positions, phases);
+        while engine.wants_more() {
+            let Some(request) = engine.begin_round() else {
+                break;
+            };
+            let phases = &mut engine.ledger.phases;
+            let (pending, upload) = self.driver.launch_async(&request.positions, phases);
 
-                // CPU shadow work while the kernel flies: plain sequential
-                // MCTS iterations, round-robin over the same trees, bounded
-                // by the previous kernel's virtual duration so accounting
-                // stays deterministic. Shadow phase times go into `scratch`
-                // first: whether they land in the breakdown depends on which
-                // side of the overlap is the critical path.
-                let mut shadow_elapsed = SimTime::ZERO;
-                let mut scratch = PhaseBreakdown::new();
-                if let Some(est) = kernel_estimate {
-                    shadow_elapsed = shadow.run_until(&mut trees, SimTime::ZERO, est, &mut scratch);
-                }
-
-                let result = pending.wait();
-                let kernel_elapsed = result.stats.elapsed();
-
-                // A hung kernel's outputs are void; instead of idling to the
-                // virtual deadline the CPU absorbs the stall by *extending*
-                // its shadow loop over the same trees, so the window still
-                // makes progress. Completed launches (possibly slowed,
-                // possibly with one aborted block) read back as usual.
-                let hung = result.fault == GpuFault::Hang;
-                let gpu_side = if hung {
-                    let deadline = plan.hang_deadline(kernel_elapsed);
-                    phases.faults.injected += 1;
-                    phases.faults.degraded += 1;
-                    shadow_elapsed =
-                        shadow.run_until(&mut trees, shadow_elapsed, deadline, &mut scratch);
-                    deadline
-                } else {
-                    let voided = void_of(result.fault, phases);
-                    backprop_outputs(&mut trees, &frontier, &result.outputs, tpb, voided, phases);
-                    phases.record_launch(&result.stats);
-                    kernel_elapsed
-                };
-
-                // The CPU work overlapped the kernel: charge the longer of
-                // the two, plus the non-overlapped host-sequential parts.
-                // The breakdown charges the critical side's phases; the
-                // hidden side's time is recorded as `overlap_saved`.
-                if gpu_side >= shadow_elapsed {
-                    if hung {
-                        phases.kernel += gpu_side;
-                    } else {
-                        charge_serial(phases, &result.stats);
-                    }
-                    phases.overlap_saved += shadow_elapsed;
-                } else {
-                    phases.select += scratch.select;
-                    phases.expand += scratch.expand;
-                    phases.kernel += scratch.kernel;
-                    phases.overlap_saved += gpu_side;
-                }
-                phases.shadow_overlap += shadow_elapsed;
-                phases.absorb_counters(&scratch);
-
-                let overlapped = gpu_side.max(shadow_elapsed);
-                tracker.charge(host_cost + upload + overlapped);
-                kernel_estimate = Some(kernel_elapsed);
+            // CPU shadow work while the kernel flies: plain sequential
+            // MCTS iterations, round-robin over the same trees, bounded
+            // by the previous kernel's virtual duration so accounting
+            // stays deterministic. Shadow phase times go into `scratch`:
+            // whether they land in the breakdown depends on which side of
+            // the overlap is the critical path.
+            let mut shadow_elapsed = SimTime::ZERO;
+            let mut scratch = PhaseBreakdown::new();
+            if let Some(est) = kernel_estimate {
+                shadow_elapsed =
+                    shadow.run_until(&mut engine.trees, SimTime::ZERO, est, &mut scratch);
             }
+
+            let result = pending.wait();
+            kernel_estimate = Some(result.stats.elapsed());
+            let landing = self.driver.land(&mut engine, &request.positions, result);
+            if let Landing::Absorbed(deadline) = landing {
+                // The hung round is lost; the CPU fills the wait for its
+                // detection deadline with more shadow iterations.
+                engine.drop_round();
+                shadow_elapsed =
+                    shadow.run_until(&mut engine.trees, shadow_elapsed, deadline, &mut scratch);
+            }
+            let ledger = &mut engine.ledger;
+            let overlapped = overlap(&mut ledger.phases, landing, shadow_elapsed, &scratch);
+            ledger
+                .tracker
+                .charge(request.host_cost + upload + overlapped);
         }
 
-        ledger.report(&self.config, &trees)
+        self.rng = engine.rng.clone();
+        engine.finish()
     }
 
     fn name(&self) -> String {

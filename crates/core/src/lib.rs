@@ -22,26 +22,29 @@
 //!   root-child statistics are read back per launch.
 //! * [`tree_parallel`] — shared-tree CPU parallelism with virtual loss
 //!   (ref \[3\]); included as the scheme the paper notes does *not* map onto
-//!   SIMD hardware.
+//!   SIMD hardware. Its virtual loss is the tree's in-flight count, the
+//!   one WU-UCT uses.
 //! * [`hybrid`] — the CPU/GPU overlap of the paper's Fig. 4: kernels are
 //!   launched asynchronously and the CPU keeps deepening the same trees
 //!   while the GPU simulates, fixing the shallow-tree weakness of GPU-only
-//!   search (paper Fig. 8).
+//!   search (paper Fig. 8). A driver over the block-parallel round engine
+//!   whose hangs the CPU absorbs.
 //! * [`multi_gpu`] — root parallelism over MPI ranks, one simulated GPU per
 //!   rank (paper Fig. 9).
 //! * [`wu_uct`] — the exploration-loss fix (DESIGN.md §16): block
-//!   parallelism over **one shared tree**, selection corrected by WU-UCT
-//!   in-flight counts so concurrent batches diversify instead of piling
-//!   onto the uncorrected-UCB maximiser.
+//!   parallelism over **one shared tree**, whose one selection counts
+//!   WU-UCT in-flight playouts so concurrent batches diversify instead of
+//!   piling onto the plain-UCB maximiser.
 //! * [`pipelined`] — barrier-free block parallelism (DESIGN.md §16):
 //!   select/expand of wave *k* overlaps the in-flight kernel of wave
-//!   *k−1*, priced like [`hybrid`] under the seven-phase ledger.
+//!   *k−1*, priced by the same overlap ledger as [`hybrid`].
 //!
-//! Supporting modules: [`tree`] (structure-of-arrays search tree; the
-//! original array-of-structs layout survives in [`tree_aos`] as the
-//! benchmark baseline and equivalence oracle), [`ucb`]
-//! (selection policy), [`gpu`] (the playout kernel run on the simulated
-//! device), [`cost`] (virtual-time cost model of host-side work),
+//! Supporting modules: [`tree`] (structure-of-arrays search tree whose one
+//! UCB descent, `SearchTree::select`, serves every scheme; the original
+//! array-of-structs layout survives in [`tree_aos`] as the benchmark
+//! baseline and equivalence oracle), [`ucb`] (selection policy), [`gpu`]
+//! (the playout kernel run on the simulated device), [`cost`]
+//! (virtual-time cost model of host-side work),
 //! [`searcher`] (the common `Searcher` interface and reports), [`player`] /
 //! [`arena`] (match harness used by every figure experiment).
 //!

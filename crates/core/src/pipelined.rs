@@ -12,13 +12,14 @@
 //! wave `k`.
 //!
 //! Pricing under the seven-phase ledger: per round the critical path is
-//! `max(kernel of wave k−1, select/expand of wave k)`. The ledger charges
-//! the phases of whichever side is critical and records the hidden side's
+//! `max(kernel of wave k−1, select/expand of wave k)`. The hybrid
+//! searcher's overlap ledger, `wave::overlap`, prices it: it charges the
+//! phases of whichever side is critical and records the hidden side's
 //! time as `overlap_saved` (with the host-side overlap also counted in
-//! `shadow_overlap`), exactly like the hybrid searcher — the seven phases
-//! still sum to `elapsed` to the nanosecond. The final in-flight wave is
-//! drained after the budget expires and charged as wait time
-//! (`budget_overshoot` reports it), so no launched work is ever dropped.
+//! `shadow_overlap`) — the seven phases still sum to `elapsed` to the
+//! nanosecond. The final in-flight wave is drained after the budget
+//! expires and charged as wait time (`budget_overshoot` reports it), so no
+//! launched work is ever dropped.
 //!
 //! Faults break the pipeline: a hang detected at completion time is
 //! handled **serially** by the shared ladder of
@@ -36,10 +37,10 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
 use crate::gpu::LaneOutcome;
 use crate::searcher::{SearchReport, Searcher};
+use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
 use crate::wave::{
-    charge_serial, cpu_playouts, Frontier, Landing, Ledger, PlayoutRequest, SessionEngine,
-    WaveDriver,
+    cpu_playouts, overlap, Frontier, Landing, Ledger, PlayoutRequest, SessionEngine, WaveDriver,
 };
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, LaunchConfig, PendingLaunch};
@@ -208,42 +209,29 @@ impl<G: Game> Searcher<G> for PipelinedSearcher<G> {
         while engine.wants_more() {
             // Stage 1 — select/expand wave k while wave k−1 (if any) is
             // still in flight. The engine charges the select/expand phases
-            // now; they are taken back below when the kernel side turns
-            // out to be the critical path.
+            // at once; they are taken back into `host` below, to be charged
+            // only if the host side turns out to be the critical path.
             let charged = (engine.ledger.phases.select, engine.ledger.phases.expand);
             let Some(request) = engine.begin_round() else {
                 break;
             };
-            let host_cost = request.host_cost;
 
-            // Stage 2 — complete wave k−1.
-            let mut iter_cost = match in_flight.take() {
+            // Stage 2 — complete wave k−1. An empty pipeline (first wave)
+            // has nothing to overlap with, and a fault breaks the pipeline:
+            // the ladder resolves the hung wave serially, and this round's
+            // select/expand is charged serially too.
+            let landing = match in_flight.take() {
                 Some((positions, launch)) => {
-                    match self.driver.land(&mut engine, &positions, launch.wait()) {
-                        Landing::Completed(stats) => {
-                            // Overlap pricing: charge the critical side's
-                            // phases, record the hidden side as saved.
-                            let phases = &mut engine.ledger.phases;
-                            let gpu_side = stats.elapsed();
-                            if gpu_side >= host_cost {
-                                charge_serial(phases, &stats);
-                                (phases.select, phases.expand) = charged;
-                                phases.overlap_saved += host_cost;
-                            } else {
-                                phases.overlap_saved += gpu_side;
-                            }
-                            phases.shadow_overlap += host_cost;
-                            gpu_side.max(host_cost)
-                        }
-                        // A fault breaks the pipeline: the ladder resolved
-                        // the hung wave serially, and this round's
-                        // select/expand is charged serially too.
-                        Landing::Recovered(cost) => cost + host_cost,
-                    }
+                    self.driver.land(&mut engine, &positions, launch.wait())
                 }
-                // Pipeline is empty (first wave): nothing to overlap with.
-                None => host_cost,
+                None => Landing::Recovered(SimTime::ZERO),
             };
+            let phases = &mut engine.ledger.phases;
+            let mut host = PhaseBreakdown::new();
+            host.select = phases.select - charged.0;
+            host.expand = phases.expand - charged.1;
+            (phases.select, phases.expand) = charged;
+            let mut iter_cost = overlap(phases, landing, request.host_cost, &host);
 
             // Stage 3 — launch wave k asynchronously; it completes at the
             // top of the next round (or in the drain below).

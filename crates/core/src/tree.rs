@@ -30,7 +30,7 @@
 
 use crate::config::{FinalMoveRule, MctsConfig};
 use crate::transposition::{TransStats, TransTable};
-use crate::ucb::{ucb1_corrected_with_ln, ucb1_with_ln};
+use crate::ucb::ucb1_with_ln;
 use pmcts_games::{Game, MoveBuf, Player};
 use pmcts_util::Rng64;
 
@@ -177,9 +177,10 @@ pub struct SearchTree<G: Game> {
     // Hot columns: everything a UCB selection walk reads.
     visits: Vec<u64>,
     wins: Vec<f64>,
-    /// WU-UCT unobserved in-flight sample counts (`O_s` / `O_sa`): playouts
-    /// dispatched through this node but not yet backpropagated. Zero except
-    /// while a corrected searcher has a batch in flight; zero between moves.
+    /// In-flight sample counts (`O`): playouts dispatched through this node
+    /// but not yet backpropagated — WU-UCT's unobserved batches and tree
+    /// parallelism's virtual loss. Zero except while a batch or a
+    /// tree-parallel playout is in flight; zero between moves.
     inflight: Vec<u32>,
     child_first: Vec<u32>,
     child_len: Vec<u16>,
@@ -625,31 +626,8 @@ impl<G: Game> SearchTree<G> {
         }
     }
 
-    /// Adds `n` to `id`'s visit count without touching ancestors. Used by
-    /// tree parallelism for virtual loss marking.
-    #[inline]
-    pub fn add_visits(&mut self, id: NodeId, n: u64) {
-        self.visits[id as usize] += n;
-    }
-
-    /// Removes `n` from `id`'s visit count (virtual loss unmarking).
-    ///
-    /// Saturates at zero: removing more virtual loss than was added is a
-    /// caller bug (caught by a debug assertion), but in release builds it
-    /// must not wrap `u64` — a wrapped count makes `ln(visits)` explode and
-    /// silently corrupts every subsequent UCB comparison.
-    #[inline]
-    pub fn sub_visits(&mut self, id: NodeId, n: u64) {
-        let v = &mut self.visits[id as usize];
-        debug_assert!(
-            *v >= n,
-            "sub_visits underflow: removing {n} virtual visits but only {v} present"
-        );
-        *v = v.saturating_sub(n);
-    }
-
-    /// WU-UCT unobserved in-flight count at `id` (0 unless a corrected
-    /// searcher currently has a batch registered through the node).
+    /// In-flight count at `id` (0 unless a WU-UCT batch or a tree-parallel
+    /// playout is currently registered through the node).
     #[inline]
     pub fn inflight(&self, id: NodeId) -> u32 {
         self.inflight[id as usize]
@@ -663,9 +641,10 @@ impl<G: Game> SearchTree<G> {
 
     /// Registers `n` unobserved in-flight playouts on `from` and every
     /// ancestor up to the root — the WU-UCT `O` increment performed when a
-    /// batch is dispatched from `from`. Deliberately does *not* touch the
-    /// LRU clock: registration is scheduling state, not a statistic, and
-    /// eviction already skips any node with `inflight > 0`.
+    /// batch is dispatched from `from`, and tree parallelism's virtual loss
+    /// (`n` pretend visits with zero reward). Deliberately does *not* touch
+    /// the LRU clock: registration is scheduling state, not a statistic,
+    /// and eviction already skips any node with `inflight > 0`.
     pub fn add_inflight_path(&mut self, from: NodeId, n: u32) {
         let mut id = from;
         loop {
@@ -682,9 +661,9 @@ impl<G: Game> SearchTree<G> {
     /// dispatched batch — when its results backpropagate, when its launch
     /// is voided by a fault, or before degraded CPU fallback playouts.
     ///
-    /// Saturates at zero like [`Self::sub_visits`]: an unbalanced rollback
-    /// is a caller bug (caught by the debug assertion), but a wrapped count
-    /// must never poison subsequent corrected-UCB comparisons.
+    /// Saturates at zero: an unbalanced rollback is a caller bug (caught by
+    /// the debug assertion), but in release builds a wrapped count must
+    /// never poison every later UCB comparison.
     pub fn sub_inflight_path(&mut self, from: NodeId, n: u32) {
         let mut id = from;
         loop {
@@ -705,9 +684,15 @@ impl<G: Game> SearchTree<G> {
     /// UCB-maximal children while nodes are fully expanded, returning the
     /// first node that still has untried moves (or a terminal node).
     ///
-    /// The walk reads one contiguous child-id slice per level and hoists
-    /// `ln(parent_visits)` out of the per-child loop ([`ucb1_with_ln`]).
+    /// In-flight playouts count as samples of unknown outcome: a child
+    /// scores `ucb1_with_ln(ln(max(T + O_T, 1)), N + O, W, c)`, the WU-UCT
+    /// correction (Liu et al., PAPERS.md) that also is tree parallelism's
+    /// virtual loss. With every `inflight` zero — outside WU-UCT waves and
+    /// tree-parallel playouts — this is plain UCB1, bit for bit. The walk
+    /// reads one contiguous child-id slice per level and hoists the `ln`
+    /// out of the per-child loop ([`ucb1_with_ln`]).
     pub fn select(&self, exploration_c: f64) -> NodeId {
+        let seen = |i: usize| self.visits[i] + u64::from(self.inflight[i]);
         let mut id = self.root();
         loop {
             let i = id as usize;
@@ -717,12 +702,12 @@ impl<G: Game> SearchTree<G> {
             }
             let first = self.child_first[i] as usize;
             let children = &self.child_slab[first..first + n_children];
-            let ln_parent = (self.visits[i].max(1) as f64).ln();
+            let ln_parent = (seen(i).max(1) as f64).ln();
             let mut best = children[0];
             let mut best_value = f64::NEG_INFINITY;
             for &child in children {
                 let c = child as usize;
-                let value = ucb1_with_ln(ln_parent, self.visits[c], self.wins[c], exploration_c);
+                let value = ucb1_with_ln(ln_parent, seen(c), self.wins[c], exploration_c);
                 // A NaN score would fail every `>` comparison and silently
                 // leave `best` at child 0, steering the whole search into an
                 // arbitrary line. Healthy trees never produce one (unvisited
@@ -730,51 +715,7 @@ impl<G: Game> SearchTree<G> {
                 // fires on corrupted statistics — fail loudly instead.
                 assert!(
                     !value.is_nan(),
-                    "non-finite UCB for node {child}: visits={}, wins={}",
-                    self.visits[c],
-                    self.wins[c]
-                );
-                if value > best_value {
-                    best_value = value;
-                    best = child;
-                }
-            }
-            id = best;
-        }
-    }
-
-    /// WU-UCT selection: the same descent as [`Self::select`], scoring
-    /// children with [`ucb1_corrected_with_ln`] so unobserved in-flight
-    /// playouts (`inflight`) count as samples in both the exploitation
-    /// denominator and the `ln(T + O)` term. With every `inflight` zero the
-    /// arithmetic is bit-identical to `select` — the expressions collapse
-    /// to the uncorrected ones — so a width-1 corrected search replays the
-    /// plain UCB search exactly.
-    pub fn select_corrected(&self, exploration_c: f64) -> NodeId {
-        let mut id = self.root();
-        loop {
-            let i = id as usize;
-            let n_children = self.child_len[i] as usize;
-            if self.untried_len[i] != 0 || n_children == 0 {
-                return id;
-            }
-            let first = self.child_first[i] as usize;
-            let children = &self.child_slab[first..first + n_children];
-            let ln_parent = ((self.visits[i] + self.inflight[i] as u64).max(1) as f64).ln();
-            let mut best = children[0];
-            let mut best_value = f64::NEG_INFINITY;
-            for &child in children {
-                let c = child as usize;
-                let value = ucb1_corrected_with_ln(
-                    ln_parent,
-                    self.visits[c],
-                    self.inflight[c] as u64,
-                    self.wins[c],
-                    exploration_c,
-                );
-                assert!(
-                    !value.is_nan(),
-                    "non-finite corrected UCB for node {child}: visits={}, inflight={}, wins={}",
+                    "non-finite UCB for node {child}: visits={}, inflight={}, wins={}",
                     self.visits[c],
                     self.inflight[c],
                     self.wins[c]
@@ -1414,15 +1355,39 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "sub_visits underflow"))]
-    fn sub_visits_underflow_saturates_in_release() {
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "sub_inflight_path underflow")
+    )]
+    fn sub_inflight_path_underflow_saturates_in_release() {
         let mut t = SearchTree::new(Reversi::initial());
-        t.add_visits(0, 1);
-        // Removing more virtual loss than was added: debug builds panic on
-        // the assertion; release builds clamp to zero instead of wrapping
-        // to ~u64::MAX and poisoning every later ln(visits).
-        t.sub_visits(0, 5);
-        assert_eq!(t.visits(0), 0);
+        let child = t.expand(t.root(), &mut Xoshiro256pp::new(3));
+        t.add_inflight_path(child, 1);
+        // Removing more in-flight playouts than were registered: debug
+        // builds panic on the assertion; release builds clamp the whole
+        // path to zero instead of wrapping to ~u32::MAX and poisoning every
+        // later ln(T + O).
+        t.sub_inflight_path(child, 5);
+        assert_eq!(t.inflight_total(), 0);
+    }
+
+    #[test]
+    fn inflight_playouts_discount_their_path() {
+        // Four equally good root children: selection takes the first, an
+        // in-flight batch through it steers the next selection elsewhere,
+        // and rolling the batch back restores the plain UCB choice.
+        let mut t = SearchTree::new(Reversi::initial());
+        let mut rng = Xoshiro256pp::new(4);
+        for _ in 0..4 {
+            let child = t.expand(t.root(), &mut rng);
+            t.backprop(child, 5.0, 10);
+        }
+        let plain = t.select(1.4);
+        t.add_inflight_path(plain, 32);
+        assert_ne!(t.select(1.4), plain, "in-flight path not discounted");
+        t.sub_inflight_path(plain, 32);
+        assert_eq!(t.select(1.4), plain);
+        assert_eq!(t.inflight_total(), 0);
     }
 
     #[test]

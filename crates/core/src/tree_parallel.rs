@@ -1,13 +1,19 @@
 //! Tree parallelism with virtual loss (Chaslot et al., the paper's ref \[3\]).
 //!
 //! All workers share **one** tree behind a lock; a worker descending the
-//! tree applies a *virtual loss* (an extra visit with zero reward) to each
-//! node on its path so that concurrent workers are repelled from the same
-//! line; after the playout the reward is added back. The paper includes
-//! this scheme in its taxonomy precisely because it does *not* map onto
-//! GPUs — it needs fine-grained synchronisation that SIMD thread groups
-//! cannot afford — so it serves here as the CPU-side contrast and
-//! completes the §III scheme inventory.
+//! tree applies a *virtual loss* (`vl` extra visits with zero reward) to
+//! each node on its path so that concurrent workers are repelled from the
+//! same line; after the playout the loss is removed and the real reward
+//! added. The paper includes this scheme in its taxonomy precisely because
+//! it does *not* map onto GPUs — it needs fine-grained synchronisation that
+//! SIMD thread groups cannot afford — so it serves here as the CPU-side
+//! contrast and completes the §III scheme inventory.
+//!
+//! The virtual loss is the tree's in-flight count `O`
+//! ([`SearchTree::add_inflight_path`] / [`SearchTree::sub_inflight_path`]),
+//! the counter WU-UCT registers its batches on, and [`SearchTree::select`]
+//! scores `N + O` in both UCB terms. The locked section is therefore the
+//! sequential searcher's `select_and_expand` plus one registration.
 //!
 //! Unlike the other searchers this one is *not* deterministic: interleaving
 //! of workers depends on the OS scheduler. Tests therefore assert
@@ -15,8 +21,9 @@
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{SearchReport, Searcher};
+use crate::sequential::select_and_expand;
 use crate::telemetry::PhaseBreakdown;
-use crate::tree::{NodeId, SearchTree};
+use crate::tree::SearchTree;
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_util::{SimTime, Xoshiro256pp};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +36,7 @@ pub struct TreeParallelSearcher<G: Game> {
     threads: usize,
     /// Virtual-loss weight: how many pretend losses a descending worker
     /// deposits on its path (1 is standard).
-    virtual_loss: u64,
+    virtual_loss: u32,
     generation: u64,
     _game: std::marker::PhantomData<fn() -> G>,
 }
@@ -48,8 +55,11 @@ impl<G: Game> TreeParallelSearcher<G> {
     }
 
     /// Overrides the virtual-loss weight.
+    ///
+    /// # Panics
+    /// Panics if `vl` does not fit the tree's `u32` in-flight counters.
     pub fn with_virtual_loss(mut self, vl: u64) -> Self {
-        self.virtual_loss = vl;
+        self.virtual_loss = u32::try_from(vl).expect("virtual loss exceeds u32");
         self
     }
 
@@ -80,46 +90,26 @@ impl<G: Game> TreeParallelSearcher<G> {
                 break;
             }
             // Selection + expansion + virtual loss under the lock: the
-            // tree's own UCB descent, then `vl` pretend lost simulations
-            // on the path so concurrent workers are repelled from it.
-            let (node, state, depth, expanded) = {
+            // sequential host half, then `vl` in-flight playouts on the
+            // path so concurrent workers are repelled from it.
+            let (node, state, depth) = {
                 let mut t = tree.lock().expect("tree lock poisoned");
-                let mut node = t.select(config.exploration_c);
-                let expanded = !t.fully_expanded(node);
-                if expanded {
-                    node = t.expand(node, &mut rng);
-                }
-                for_path(&mut t, node, |t, n| t.add_visits(n, vl));
-                (node, *t.state(node), t.depth(node), expanded)
+                let (node, depth) = select_and_expand(&mut t, &mut rng, config, &mut mine);
+                t.add_inflight_path(node, vl);
+                (node, *t.state(node), depth)
             };
             let result = random_playout(state, &mut rng);
             {
                 // Remove the virtual loss and apply the real result.
                 let mut t = tree.lock().expect("tree lock poisoned");
-                for_path(&mut t, node, |t, n| t.sub_visits(n, vl));
+                t.sub_inflight_path(node, vl);
                 t.backprop(node, result.reward_for(Player::P1), 1);
             }
             elapsed += cpu.tree_op(depth) + cpu.playout(result.plies);
-            mine.select += cpu.select_cost(depth);
-            mine.expand += cpu.expand_cost();
             mine.kernel += cpu.playout(result.plies);
             mine.simulations += 1;
-            mine.expansions += u64::from(expanded);
         }
         (elapsed, mine)
-    }
-}
-
-/// Applies `f` to `leaf` and each of its ancestors up to the root.
-fn for_path<G: Game>(
-    tree: &mut SearchTree<G>,
-    leaf: NodeId,
-    mut f: impl FnMut(&mut SearchTree<G>, NodeId),
-) {
-    let mut node = Some(leaf);
-    while let Some(n) = node {
-        f(tree, n);
-        node = tree.parent(n);
     }
 }
 

@@ -4,6 +4,11 @@
 //! accumulated reward, `t_i` its visit count and `T` the parent's visit
 //! count. The first term exploits (average value), the second explores
 //! (rarely visited nodes score higher).
+//!
+//! [`SearchTree::select`](crate::tree::SearchTree::select) counts playouts
+//! still in flight as samples of unknown outcome, passing `t_i + O_i` and
+//! `ln(T + O_T)`: the WU-UCT correction, and tree parallelism's virtual
+//! loss.
 
 /// UCB1 value of a child node.
 ///
@@ -35,35 +40,6 @@ pub fn ucb1_with_ln(ln_parent_visits: f64, child_visits: u64, child_wins: f64, c
     let t = child_visits as f64;
     let exploit = child_wins / t;
     let explore = c * (ln_parent_visits / t).sqrt();
-    exploit + explore
-}
-
-/// WU-UCT-corrected UCB1 (Liu et al., "Watch the Unobserved"): in-flight
-/// playouts that have been dispatched but not yet backpropagated are
-/// counted as unobserved samples `O`, entering both the exploitation
-/// denominator (`S_i / (t_i + O_i)`) and the exploration term
-/// (`C · sqrt(ln(T + O_T) / (t_i + O_i))`).
-///
-/// `ln_parent_total` is `ln((T + O_T).max(1))`, precomputed by the caller
-/// exactly as selection hoists `ln T`. With `child_inflight == 0` (and the
-/// caller passing the plain `ln T`) the expression is bit-identical to
-/// [`ucb1_with_ln`] — the correction vanishes, it never perturbs a
-/// zero-width search.
-#[inline]
-pub fn ucb1_corrected_with_ln(
-    ln_parent_total: f64,
-    child_visits: u64,
-    child_inflight: u64,
-    child_wins: f64,
-    c: f64,
-) -> f64 {
-    let total = child_visits + child_inflight;
-    if total == 0 {
-        return f64::INFINITY;
-    }
-    let t = total as f64;
-    let exploit = child_wins / t;
-    let explore = c * (ln_parent_total / t).sqrt();
     exploit + explore
 }
 
@@ -125,46 +101,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn corrected_with_zero_inflight_is_bit_identical_to_ucb1_with_ln() {
-        // The WU-UCT correction must vanish exactly — same bits, not just
-        // same value — when no playout is in flight, so a width-1 corrected
-        // search replays the uncorrected one decision for decision.
-        for parent in [0u64, 1, 2, 10, 1_000, 123_456_789] {
-            let ln = (parent.max(1) as f64).ln();
-            for (visits, wins) in [(0u64, 0.0), (1, 0.5), (7, 3.0), (1_000, 420.5)] {
-                for c in [0.0, 0.5, 1.4, 5.0] {
-                    let a = ucb1_with_ln(ln, visits, wins, c);
-                    let b = ucb1_corrected_with_ln(ln, visits, 0, wins, c);
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inflight_samples_discount_a_child() {
-        // 32 unobserved playouts already dispatched through this child must
-        // lower both terms: the mean is diluted and the exploration bonus
-        // shrinks, steering the next selection elsewhere.
-        let ln = (1000f64).ln();
-        let plain = ucb1_with_ln(ln, 10, 5.0, 1.4);
-        let corrected = ucb1_corrected_with_ln(ln, 10, 32, 5.0, 1.4);
-        assert!(corrected < plain);
-    }
-
-    #[test]
-    fn unvisited_child_with_inflight_mass_is_finite() {
-        // An unvisited child that already has playouts in flight is no
-        // longer infinitely attractive — that is the whole point of the
-        // correction (stop piling every batch onto the same frontier leaf).
-        let v = ucb1_corrected_with_ln((10f64).ln(), 0, 32, 0.0, 1.4);
-        assert!(v.is_finite());
-        assert_eq!(
-            ucb1_corrected_with_ln((10f64).ln(), 0, 0, 0.0, 1.4),
-            f64::INFINITY
-        );
     }
 }

@@ -21,8 +21,15 @@
 //! [`PhaseBreakdown::record_launch`], and the fault ladder. There is one
 //! ladder, in [`WaveDriver::land`]: a hung launch costs its detection
 //! deadline and is retried once with a fresh epoch; a second hang hands the
-//! wave to the engine's `degrade`. A `BlockAbort` voids one block's
-//! outputs, and a slowdown only stretches device time.
+//! wave to the engine's `degrade`. A driver built to absorb hangs (the
+//! hybrid searcher's) neither retries nor degrades: it hands the deadline
+//! back for the host to fill with CPU work. A `BlockAbort` voids one
+//! block's outputs, and a slowdown only stretches device time.
+//!
+//! One function, [`overlap`], prices a launch that ran alongside host
+//! work — the hybrid searcher's CPU shadow iterations, the pipelined
+//! searcher's next selection — and a serial launch is its special case
+//! with no host work.
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
@@ -174,6 +181,57 @@ pub(crate) enum Landing {
     /// It hung and the ladder resolved it, at this virtual cost (already
     /// charged to the phases).
     Recovered(SimTime),
+    /// It hung and the driver absorbs hangs: no retry, the hang counted as
+    /// injected and degraded, and nothing charged yet. The engine still
+    /// holds the lost round; the caller drops it and overlaps this
+    /// detection deadline with host work.
+    Absorbed(SimTime),
+}
+
+/// Prices a launch that ran alongside `host` virtual time of host work and
+/// returns the round's critical path, the longer of the two sides.
+///
+/// The host work's phase times arrive in `host_phases`, uncharged; its
+/// counters are always absorbed. The critical side's phases are charged:
+/// the launch serially (or its absorbed deadline as `kernel`), or else the
+/// host phase times. The hidden side's time is credited to
+/// `overlap_saved` and the host side's to `shadow_overlap`, both outside
+/// the phase sum. A launch the ladder `Recovered` broke the overlap: it is
+/// already charged, so the host phases are charged after it, serially.
+pub(crate) fn overlap(
+    phases: &mut PhaseBreakdown,
+    landing: Landing,
+    host: SimTime,
+    host_phases: &PhaseBreakdown,
+) -> SimTime {
+    phases.absorb_counters(host_phases);
+    let charge_host = |phases: &mut PhaseBreakdown| {
+        phases.select += host_phases.select;
+        phases.expand += host_phases.expand;
+        phases.kernel += host_phases.kernel;
+    };
+    let (device, completed) = match landing {
+        Landing::Completed(stats) => (stats.elapsed(), Some(stats)),
+        Landing::Absorbed(deadline) => (deadline, None),
+        Landing::Recovered(cost) => {
+            charge_host(phases);
+            return cost + host;
+        }
+    };
+    if device >= host {
+        match completed {
+            Some(stats) => {
+                charge_serial(phases, &stats);
+            }
+            None => phases.kernel += device,
+        }
+        phases.overlap_saved += host;
+    } else {
+        charge_host(phases);
+        phases.overlap_saved += device;
+    }
+    phases.shadow_overlap += host;
+    device.max(host)
 }
 
 /// Runs engines alone on one device (see the module docs).
@@ -189,6 +247,8 @@ pub(crate) struct WaveDriver {
     /// Key of the fault schedule (the sub-stream, unless overridden).
     fault_stream: u64,
     epoch: u64,
+    /// Whether [`land`](Self::land) absorbs hangs instead of retrying.
+    absorb_hangs: bool,
 }
 
 impl WaveDriver {
@@ -210,6 +270,7 @@ impl WaveDriver {
             epoch_mul: 0xA076_1D64_78BD_642F,
             fault_stream: stream,
             epoch: 0,
+            absorb_hangs: false,
         }
     }
 
@@ -222,6 +283,13 @@ impl WaveDriver {
     /// Overrides the key of the fault schedule.
     pub(crate) fn with_fault_stream(mut self, fault_stream: u64) -> Self {
         self.fault_stream = fault_stream;
+        self
+    }
+
+    /// Lands hung launches as [`Landing::Absorbed`] instead of retrying
+    /// them: the hybrid searcher's policy, whose CPU fills the wait.
+    pub(crate) fn absorbing_hangs(mut self) -> Self {
+        self.absorb_hangs = true;
         self
     }
 
@@ -320,16 +388,17 @@ impl WaveDriver {
         positions: &[G],
         result: LaunchResult<LaneOutcome>,
     ) -> SimTime {
-        match self.land(engine, positions, result) {
-            Landing::Completed(stats) => charge_serial(&mut engine.ledger_mut().phases, &stats),
-            Landing::Recovered(cost) => cost,
-        }
+        let landing = self.land(engine, positions, result);
+        let phases = &mut engine.ledger_mut().phases;
+        overlap(phases, landing, SimTime::ZERO, &PhaseBreakdown::new())
     }
 
     /// The fault ladder. A launch that completed hands its outputs to the
     /// engine. A hung launch costs its detection deadline and is retried
     /// once with a fresh epoch (upload charged again); a second hang
-    /// degrades the wave to the engine's CPU playouts.
+    /// degrades the wave to the engine's CPU playouts. A driver that
+    /// [absorbs hangs](Self::absorbing_hangs) returns the first hang as
+    /// [`Landing::Absorbed`] instead.
     pub(crate) fn land<G: Game, E: SessionEngine<G>>(
         &mut self,
         engine: &mut E,
@@ -341,8 +410,12 @@ impl WaveDriver {
         while result.fault == GpuFault::Hang {
             let deadline = self.plan.hang_deadline(result.stats.elapsed());
             let phases = &mut engine.ledger_mut().phases;
-            phases.kernel += deadline;
             phases.faults.injected += 1;
+            if self.absorb_hangs {
+                phases.faults.degraded += 1;
+                return Landing::Absorbed(deadline);
+            }
+            phases.kernel += deadline;
             cost += deadline;
             hangs += 1;
             if hangs == 2 {

@@ -7,14 +7,16 @@
 //! wave down the same maximal path: selection acts as if the playouts
 //! already dispatched do not exist. WU-UCT repairs that by tracking
 //! **unobserved in-flight counts** `O` on the tree: each dispatched batch
-//! registers its size on every node of its selection path, and selection
-//! scores children with [`ucb1_corrected_with_ln`] — `N + O` in both the
+//! registers its size on every node of its selection path, and
+//! [`SearchTree::select`] scores children with `N + O` in both the
 //! exploitation denominator and the `ln(T + O)` term — so an in-flight
 //! batch discounts its own path exactly as if its samples had landed with
-//! unknown outcome.
+//! unknown outcome. The counter is the one tree parallelism keeps its
+//! virtual loss in.
 //!
-//! This searcher therefore runs **one shared tree**: per wave it performs
-//! `B` corrected selections *sequentially in block order* (block `b` sees
+//! This searcher therefore runs **one shared tree**: per wave it runs the
+//! sequential searcher's `select_and_expand` `B` times *in block order*,
+//! registering each batch right after its selection (block `b` sees
 //! the `O` registered by blocks `0..b` of the same wave — in-flight
 //! membership is a pure function of the launch schedule, never of thread
 //! timing), expands each frontier, launches one kernel with block `b`
@@ -26,7 +28,7 @@
 //!
 //! At `B = 1` no selection ever observes a nonzero `O` (a wave's counts
 //! are registered after its own selection and rolled back before the
-//! next), the corrected arithmetic collapses bit-for-bit to plain UCB, and
+//! next), the in-flight terms vanish bit-for-bit from plain UCB, and
 //! the whole report is bit-identical to [`BlockParallelSearcher`]'s — the
 //! zero-width oracle the tests pin.
 //!
@@ -40,12 +42,12 @@
 //! counters are zero after every wave (the residue invariant).
 //!
 //! [`BlockParallelSearcher`]: crate::block_parallel::BlockParallelSearcher
-//! [`ucb1_corrected_with_ln`]: crate::ucb::ucb1_corrected_with_ln
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
 use crate::gpu::{aggregate, LaneOutcome};
 use crate::searcher::{SearchReport, Searcher};
+use crate::sequential::select_and_expand;
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
 use crate::wave::{cpu_playouts, Frontier, Ledger, PlayoutRequest, SessionEngine, WaveDriver};
@@ -166,34 +168,26 @@ impl<G: Game> SessionEngine<G> for WuUctSession<G> {
         if self.tree.is_terminal(self.tree.root()) {
             return None;
         }
-        // `B` corrected selections in block order on the shared tree, each
-        // expansion followed by registering the batch's `tpb` unobserved
-        // playouts on its path — so block `b`'s selection is discounted by
-        // the `O` of blocks `0..b`. The loop is deliberately sequential:
-        // each selection *depends* on the previous registrations, which is
-        // what makes in-flight membership a pure function of the schedule
-        // (and host-thread independence trivial). Host cost is charged
-        // exactly like block parallelism's host phase.
-        let cpu = &self.config.cpu_cost;
-        let phases = &mut self.ledger.phases;
+        // `B` selections in block order on the shared tree, each expansion
+        // followed by registering the batch's `tpb` unobserved playouts on
+        // its path — so block `b`'s selection is discounted by the `O` of
+        // blocks `0..b`. The loop is deliberately sequential: each
+        // selection *depends* on the previous registrations, which is what
+        // makes in-flight membership a pure function of the schedule (and
+        // host-thread independence trivial). Host cost is charged exactly
+        // like block parallelism's host phase.
         let mut host_cost = SimTime::ZERO;
-        let mut frontier: Frontier<G> = Vec::with_capacity(self.blocks);
-        for _ in 0..self.blocks {
-            let sel = self.tree.select_corrected(self.config.exploration_c);
-            let node = if !self.tree.fully_expanded(sel) {
-                phases.expansions += 1;
-                self.tree.expand(sel, &mut self.rng)
-            } else {
-                sel
-            };
-            self.tree
-                .add_inflight_path(node, self.threads_per_block as u32);
-            let depth = self.tree.depth(node);
-            host_cost += cpu.tree_op(depth);
-            phases.select += cpu.select_cost(depth);
-            phases.expand += cpu.expand_cost();
-            frontier.push((node, *self.tree.state(node), depth));
-        }
+        let frontier: Frontier<G> = (0..self.blocks)
+            .map(|_| {
+                let phases = &mut self.ledger.phases;
+                let (node, depth) =
+                    select_and_expand(&mut self.tree, &mut self.rng, &self.config, phases);
+                self.tree
+                    .add_inflight_path(node, self.threads_per_block as u32);
+                host_cost += self.config.cpu_cost.tree_op(depth);
+                (node, *self.tree.state(node), depth)
+            })
+            .collect();
         let positions = frontier.iter().map(|&(_, s, _)| s).collect();
         self.pending = Some(frontier);
         Some(PlayoutRequest {

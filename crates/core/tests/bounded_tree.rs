@@ -231,7 +231,7 @@ proptest! {
             tree.backprop(node, (i % 3) as f64 / 2.0, 1);
         }
         let pinned_node = {
-            let sel = tree.select_corrected(1.4);
+            let sel = tree.select(1.4);
             if !tree.fully_expanded(sel) {
                 tree.expand(sel, &mut rng)
             } else {
@@ -243,7 +243,7 @@ proptest! {
         // Churn the arena well past its capacity with the batch still in
         // flight.
         for i in 0..(cap as usize * 2 + 50) {
-            let sel = tree.select_corrected(1.4);
+            let sel = tree.select(1.4);
             let node = if !tree.fully_expanded(sel) {
                 tree.expand(sel, &mut rng)
             } else {
