@@ -516,6 +516,7 @@ mod tests {
                     panic!("caller participant exploded");
                 }
                 started.store(true, Ordering::Release);
+                // Widens the window in which a premature return would show.
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 slots[3].store(7, Ordering::Release);
             });
